@@ -14,7 +14,7 @@ import sys
 from .config import ConfigError, load_config, with_overrides
 from .harness import (
     NumericalAbort,
-    dataset_for,
+    _fmt,
     evaluate_dataset,
     make_plan,
     run_pipeline,
@@ -145,12 +145,6 @@ def _cmd_macs(args) -> int:
         print(f"layer {idx} ({model.layers[idx].kind}): {macs}")
     print(f"total: {report.total}")
     return 0
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
 
 
 _COMMANDS = {

@@ -147,6 +147,9 @@ def _check_dims(model: ModelGraph, dataset: Dataset) -> None:
         raise ConfigError(
             f"architecture consumes {need} features but dataset provides {dataset.input_dim}"
         )
+    outputs = model.layers[-1].group_count
+    if dataset.task == "classification" and outputs < dataset.n_classes:
+        raise ConfigError(f"architecture has {outputs} outputs but dataset has {dataset.n_classes} classes")
 
 
 def norms_snapshot(model: ModelGraph, indexings, epoch: int) -> dict:
@@ -351,7 +354,7 @@ def load_checkpoint(path) -> ModelGraph:
             return ModelGraph.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint {path!r}: {exc}") from None
 
 

@@ -18,6 +18,7 @@ from .tensor import (
     avg_pool2x2,
     bias_add,
     conv2d,
+    group_norm_array,
     group_norms,
     l2_norm,
     matmul,
@@ -57,11 +58,7 @@ class ConstructionError(ValueError):
 
 @dataclass
 class LayerSpec:
-    """One layer of an architecture description.
-
-    ``in_dim`` is normally -1 (inferred from the previous layer); a
-    non-negative value is validated against the actual incoming size.
-    """
+    """One layer of an architecture description; input sizes are inferred."""
 
     kind: str  # "dense" | "conv2d"
     out: int
@@ -69,7 +66,6 @@ class LayerSpec:
     stride: int = 1
     padding: int = 0
     pool: bool = False  # 2x2 average pool after the activation (conv only)
-    in_dim: int = -1
 
 
 @dataclass
@@ -227,6 +223,9 @@ class ModelGraph:
             raise ConstructionError("layers, activations and pools must align")
         if len(self.couplings) != max(len(self.layers) - 1, 0):
             raise ConstructionError("couplings must cover every adjacent layer pair")
+        for i, layer in enumerate(self.layers):
+            if layer.bias is not None and layer.bias.shape != (layer.group_count,):
+                raise ConstructionError(f"layer {i} bias {layer.bias.shape} does not match {layer.group_count} groups")
         shapes = layer_output_shapes(self)  # raises on any incompatibility
         assert len(shapes) == len(self.layers)
 
@@ -260,7 +259,8 @@ class ModelGraph:
             weight = Tensor(np.asarray(w["data"], dtype=np.float64).reshape(w["shape"]), requires_grad=True)
             bias = None
             if entry["bias"] is not None:
-                bias = Tensor(np.asarray(entry["bias"]["data"], dtype=np.float64), requires_grad=True)
+                b = entry["bias"]
+                bias = Tensor(np.asarray(b["data"], dtype=np.float64).reshape(b["shape"]), requires_grad=True)
             layers.append(GroupedLayer(entry["kind"], weight, bias, entry["stride"], entry["padding"]))
             acts.append(entry["activation"])
             pools.append(entry["pool"])
@@ -340,8 +340,6 @@ def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:
             if len(shape) != 3:
                 raise ConstructionError(f"conv layer at position {pos} needs a CxHxW input, got {shape}")
             c_in = shape[0]
-            if spec.in_dim >= 0 and spec.in_dim != c_in:
-                raise ConstructionError(f"conv layer at position {pos} declares {spec.in_dim} input channels, gets {c_in}")
             fan_in = c_in * spec.k * spec.k
             bound = np.sqrt(6.0 / fan_in)
             weight = Tensor(rng.uniform(-bound, bound, (spec.out, c_in, spec.k, spec.k)), requires_grad=True)
@@ -356,8 +354,6 @@ def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:
             pools.append(spec.pool)
         elif spec.kind == "dense":
             flat = int(np.prod(shape))
-            if spec.in_dim >= 0 and spec.in_dim != flat:
-                raise ConstructionError(f"dense layer at position {pos} declares {spec.in_dim} inputs, gets {flat}")
             fan_in = flat
             bound = np.sqrt(6.0 / fan_in)
             weight = Tensor(rng.uniform(-bound, bound, (spec.out, flat)), requires_grad=True)
@@ -423,14 +419,10 @@ def layer_group_norms(layer: GroupedLayer) -> Tensor:
 
 def group_norm_values(model: ModelGraph) -> list[np.ndarray]:
     """Plain numpy group norms per layer (no graph), for pruning and logging."""
-    out = []
-    for layer in model.layers:
-        w = layer.weight.data.reshape(layer.group_count, -1)
-        sq = (w * w).sum(axis=1)
-        if layer.bias is not None:
-            sq = sq + layer.bias.data**2
-        out.append(np.sqrt(sq))
-    return out
+    return [
+        group_norm_array(layer.weight.data, None if layer.bias is None else layer.bias.data)
+        for layer in model.layers
+    ]
 
 
 def forward(model: ModelGraph, batch: Tensor) -> Tensor:

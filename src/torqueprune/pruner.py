@@ -18,9 +18,9 @@ from .model import (
     ConstructionError,
     GroupedLayer,
     ModelGraph,
-    _conv_out_hw,
     derive_couplings,
     group_norm_values,
+    layer_output_shapes,
 )
 from .tensor import ContractError, Tensor
 
@@ -73,32 +73,38 @@ class PrunePlan:
 # MACs accounting
 
 
-def count_macs(model: ModelGraph, input_shape=None) -> MacsReport:
+def _layer_macs(model: ModelGraph, removed: np.ndarray) -> np.ndarray:
+    """Per-layer MACs for a single input instance, after removing groups.
+
+    ``removed[..., l]`` is the number of groups taken out of layer l; one row
+    per candidate plan.  Each removal also takes ``block`` inputs out of the
+    next layer, so MACs_l = (G_l - r_l) * (I_l - r_{l-1} * block_{l-1}) * pair_l,
+    where one (output, input) pair costs 1 MAC in a dense layer and
+    K^2 * H_out * W_out in a conv.  Biases, activations and pooling are excluded.
+    """
+    pair = []
+    for layer, pool, shape in zip(model.layers, model.pools, layer_output_shapes(model)):
+        if layer.kind == "conv2d":
+            # the shape is taken after the 2x2 pool, which halves each side
+            pair.append(layer.weight.shape[2] ** 2 * shape[1] * shape[2] * (4 if pool else 1))
+        else:
+            pair.append(1)
+    groups = np.array([layer.group_count for layer in model.layers])
+    inputs = np.array([layer.in_size for layer in model.layers])
+    lost_inputs = np.zeros_like(removed)
+    lost_inputs[..., 1:] = removed[..., :-1] * np.array([c.block for c in model.couplings], dtype=np.int64)
+    return (groups - removed) * (inputs - lost_inputs) * np.array(pair)
+
+
+def count_macs(model: ModelGraph) -> MacsReport:
     """Multiply-accumulate count per layer for a single input instance.
 
     Dense: out*in.  Conv: C_out*C_in*K^2*H_out*W_out.  Biases, activations
     and pooling are excluded.
     """
-    shape = tuple(input_shape) if input_shape is not None else tuple(model.input_shape)
-    per_layer = []
-    for idx, (layer, pool) in enumerate(zip(model.layers, model.pools)):
-        if layer.kind == "conv2d":
-            if len(shape) != 3 or shape[0] != layer.weight.shape[1]:
-                raise ConstructionError(f"conv layer {idx} cannot consume input shape {shape}")
-            k = layer.weight.shape[2]
-            h2, w2 = _conv_out_hw(shape[1], shape[2], k, layer.stride, layer.padding)
-            macs = layer.group_count * layer.weight.shape[1] * k * k * h2 * w2
-            if pool:
-                h2, w2 = h2 // 2, w2 // 2
-            shape = (layer.group_count, h2, w2)
-        else:
-            flat = int(np.prod(shape))
-            if flat != layer.in_size:
-                raise ConstructionError(f"dense layer {idx} expects {layer.in_size} inputs, receives {flat}")
-            macs = layer.group_count * layer.in_size
-            shape = (layer.group_count,)
-        per_layer.append((idx, int(macs)))
-    return MacsReport(per_layer=tuple(per_layer), total=sum(m for _, m in per_layer))
+    macs = _layer_macs(model, np.zeros(len(model.layers), dtype=np.int64))
+    per_layer = tuple((idx, int(m)) for idx, m in enumerate(macs))
+    return MacsReport(per_layer=per_layer, total=sum(m for _, m in per_layer))
 
 
 def speedup(base: MacsReport, pruned: MacsReport) -> float:
@@ -110,35 +116,6 @@ def speedup(base: MacsReport, pruned: MacsReport) -> float:
 def accuracy_drop(base_metric: float, pruned_metric: float) -> float:
     """Signed difference pruned - base; positive means the pruned model improved."""
     return pruned_metric - base_metric
-
-
-def _macs_after_removal(model: ModelGraph, removed_counts) -> MacsReport:
-    """MACs of the model that apply_plan would produce, from shape arithmetic alone."""
-    shape = tuple(model.input_shape)
-    per_layer = []
-    in_override = None  # input size of the current layer after upstream pruning
-    for idx, (layer, pool) in enumerate(zip(model.layers, model.pools)):
-        out = layer.group_count - removed_counts[idx]
-        if layer.kind == "conv2d":
-            c_in = in_override if in_override is not None else shape[0]
-            k = layer.weight.shape[2]
-            h2, w2 = _conv_out_hw(shape[1], shape[2], k, layer.stride, layer.padding)
-            macs = out * c_in * k * k * h2 * w2
-            if pool:
-                h2, w2 = h2 // 2, w2 // 2
-            shape = (layer.group_count, h2, w2)
-        else:
-            flat = in_override if in_override is not None else int(np.prod(shape))
-            macs = out * flat
-            shape = (layer.group_count,)
-        per_layer.append((idx, int(macs)))
-        if idx < len(model.layers) - 1:
-            coupling = model.couplings[idx]
-            if coupling.kind == "conv_to_dense":
-                in_override = model.layers[idx + 1].in_size - removed_counts[idx] * coupling.block
-            else:
-                in_override = model.layers[idx + 1].in_size - removed_counts[idx]
-    return MacsReport(per_layer=tuple(per_layer), total=sum(m for _, m in per_layer))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +136,14 @@ def _threshold_removals(model: ModelGraph, norms, tau: float):
     return tuple(sorted(removals))
 
 
-def _plan_with(model: ModelGraph, removals, mode: str, tau: float) -> PrunePlan:
-    counts = [0] * len(model.layers)
-    for l, _ in removals:
-        counts[l] += 1
-    base = count_macs(model)
-    after = _macs_after_removal(model, counts)
-    return PrunePlan(
-        removals=tuple(removals),
-        mode=mode,
-        threshold_used=float(tau),
-        predicted_speedup=speedup(base, after),
-    )
-
-
 def plan_by_threshold(model: ModelGraph, tau: float) -> PrunePlan:
     """Plan removal of every group whose norm is strictly below ``tau``."""
     if tau < 0:
         raise ContractError(f"threshold must be non-negative, got {tau}")
-    norms = group_norm_values(model)
-    return _plan_with(model, _threshold_removals(model, norms, tau), "threshold", tau)
+    removals = _threshold_removals(model, group_norm_values(model), tau)
+    counts = np.bincount([l for l, _ in removals], minlength=len(model.layers))
+    after = int(_layer_macs(model, counts).sum())
+    return PrunePlan(removals, "threshold", float(tau), count_macs(model).total / after)
 
 
 def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
@@ -186,22 +151,23 @@ def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
 
     The removal set is a step function of the threshold, so searching the
     finite candidate set {0} + distinct norms + just-above-max is exact.
+    Every candidate is priced at once from its per-layer removal counts.
     """
     if target_speedup < 1.0:
         raise ContractError(f"target speed-up must be >= 1, got {target_speedup}")
     norms = group_norm_values(model)
     flat = np.concatenate(norms)
-    candidates = sorted({0.0, *flat.tolist(), float(np.nextafter(flat.max(), np.inf))})
-    best = None
-    for tau in candidates:
-        plan = _plan_with(model, _threshold_removals(model, norms, tau), "budget", tau)
-        if plan.predicted_speedup >= target_speedup:
-            best = plan
-            break  # speed-up grows with tau, so the first hit is the smallest
-    if best is None:
-        max_plan = _plan_with(model, _threshold_removals(model, norms, candidates[-1]), "budget", candidates[-1])
-        raise UnreachableTargetError(target_speedup, max_plan.predicted_speedup)
-    return best
+    candidates = np.unique(np.concatenate([[0.0], flat, [np.nextafter(flat.max(), np.inf)]]))
+    # groups strictly below each candidate, capped so no layer is emptied
+    removed = np.stack(
+        [np.minimum(np.searchsorted(np.sort(v), candidates), len(v) - 1) for v in norms], axis=1
+    )
+    speedups = count_macs(model).total / _layer_macs(model, removed).sum(axis=1)
+    hits = np.flatnonzero(speedups >= target_speedup)
+    if hits.size == 0:
+        raise UnreachableTargetError(target_speedup, float(speedups[-1]))
+    tau = float(candidates[hits[0]])
+    return PrunePlan(_threshold_removals(model, norms, tau), "budget", tau, float(speedups[hits[0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -88,19 +88,24 @@ def _base_for(spec: RegularizerSpec, group_count: int | None) -> float:
     return resolve_exp_base(group_count)
 
 
+def _scheme_weights(spec: RegularizerSpec, d: np.ndarray, group_count: int | None) -> np.ndarray:
+    """Force weight at each distance in ``d`` from the pivot (float64)."""
+    if spec.scheme == "linear_torque":
+        return d
+    if spec.scheme == "heaviside":
+        return np.where(d >= spec.heaviside_threshold, spec.heaviside_force, 0.0)
+    if spec.scheme == "exponential_etp":
+        return _base_for(spec, group_count) ** d
+    if spec.scheme == "l1":
+        return np.ones_like(d)
+    raise ContractError(f"no distance weights for scheme {spec.scheme!r}")
+
+
 def distance_weight(spec: RegularizerSpec, d: float, group_count: int | None = None) -> float:
     """Force weight applied at distance d from the pivot."""
     if d < 0:
         raise ContractError(f"distance must be non-negative, got {d}")
-    if spec.scheme == "linear_torque":
-        return float(d)
-    if spec.scheme == "heaviside":
-        return spec.heaviside_force if d >= spec.heaviside_threshold else 0.0
-    if spec.scheme == "exponential_etp":
-        return _base_for(spec, group_count) ** float(d)
-    if spec.scheme == "l1":
-        return 1.0
-    raise ContractError(f"distance_weight undefined for scheme {spec.scheme!r}")
+    return float(_scheme_weights(spec, np.float64(d), group_count))
 
 
 def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> np.ndarray:
@@ -108,16 +113,7 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
         raise ContractError(
             f"indexing covers {len(indexing.assigned_indices)} groups, layer has {layer.group_count}"
         )
-    d = indexing.distances.astype(np.float64)
-    if spec.scheme == "linear_torque":
-        return d
-    if spec.scheme == "heaviside":
-        return np.where(d >= spec.heaviside_threshold, spec.heaviside_force, 0.0)
-    if spec.scheme == "exponential_etp":
-        return _base_for(spec, layer.group_count) ** d
-    if spec.scheme == "l1":
-        return np.ones_like(d)
-    raise ContractError(f"no distance weights for scheme {spec.scheme!r}")
+    return _scheme_weights(spec, indexing.distances.astype(np.float64), layer.group_count)
 
 
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:

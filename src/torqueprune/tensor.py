@@ -37,6 +37,7 @@ __all__ = [
     "take_axis0",
     "l2_norm",
     "group_norms",
+    "group_norm_array",
     "backward",
     "finite_diff_grad",
 ]
@@ -347,6 +348,18 @@ def l2_norm(*parts: Tensor) -> Tensor:
     return _from_op(np.asarray(norm), parts, "l2_norm", bwd)
 
 
+def group_norm_array(weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean norm of each slice along axis 0, its bias entry included.
+
+    The numpy kernel behind ``group_norms``, for callers that need no graph.
+    """
+    wflat = weight.reshape(weight.shape[0], -1)
+    sq = (wflat * wflat).sum(axis=1)
+    if bias is not None:
+        sq = sq + bias * bias
+    return np.sqrt(sq)
+
+
 def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-output-slice Euclidean norms, one per row of axis 0.
 
@@ -361,10 +374,7 @@ def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"group_norms: bias {bias.shape} does not match {g_count} groups")
 
     wflat = weight.data.reshape(g_count, -1)
-    sq = (wflat * wflat).sum(axis=1)
-    if bias is not None:
-        sq = sq + bias.data * bias.data
-    norms = np.sqrt(sq)
+    norms = group_norm_array(wflat, None if bias is None else bias.data)
     inv = np.where(norms >= NORM_EPS, 1.0 / np.maximum(norms, NORM_EPS), 0.0)
 
     def bwd(g):

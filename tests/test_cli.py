@@ -123,3 +123,28 @@ def test_unreachable_target_exit_3(toy_cfg, tmp_path, capsys):
     )
     assert main(["pipeline", str(cfg)]) == 3
     assert "unreachable" in capsys.readouterr().err
+
+
+def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "blobs.cfg"
+    cfg.write_text(
+        "arch = mlp:2-8-2\ndataset = gaussian_blobs\ndataset_size = 80\nepochs = 1\n"
+        "scheme = l1\nreg_coefficient = 1e-3\n" + f"out_dir = {tmp_path}/blobs\n"
+    )
+    assert main(["train", str(cfg)]) == 1
+    assert "4 classes" in capsys.readouterr().err
+    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
+    row = (tmp_path / "blobs" / "sweep.csv").read_text().splitlines()[-1]
+    assert row.endswith("failed:ConfigError")
+
+
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_malformed_checkpoint_exit_1(toy_cfg, tmp_path, capsys, part):
+    main(["train", toy_cfg])
+    ckpt = tmp_path / "out" / "model.json"
+    record = json.loads(ckpt.read_text())
+    record["layers"][0][part]["data"] = record["layers"][0][part]["data"][:-1]
+    ckpt.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["prune", toy_cfg, "--checkpoint", str(ckpt)]) == 1
+    assert "malformed checkpoint" in capsys.readouterr().err

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from torqueprune.model import (
-    ArchSpec,
     ConstructionError,
     GroupedLayer,
-    LayerSpec,
     ModelGraph,
     assign_indexing,
     build_model,
@@ -41,12 +39,6 @@ def test_build_cnn_flatten_mapping_is_channel_major():
     assert model.couplings[0].kind == "conv_to_dense"
     assert model.couplings[0].block == 36  # 6x6 spatial, channel-major layout
     assert model.layers[1].in_size == 4 * 36
-
-
-def test_build_rejects_incompatible_sizes():
-    arch = ArchSpec(input_shape=(8,), layers=[LayerSpec("dense", out=4), LayerSpec("dense", out=2, in_dim=5)])
-    with pytest.raises(ConstructionError):
-        build_model(arch, seed=0)
 
 
 def test_build_is_seed_deterministic():

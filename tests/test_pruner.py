@@ -44,6 +44,9 @@ def test_conv_macs_formula():
     assert report.per_layer[0][1] == 221184
     assert report.per_layer[1] == (1, 10 * 8 * 32 * 32)
     assert report.total == 221184 + 81920
+    # a pooled conv is charged for its full output, before the pool
+    pooled = count_macs(build_model("cnn:3x8x8:conv4k3s1p1-pool-dense5", seed=0))
+    assert pooled.per_layer == ((0, 4 * 3 * 9 * 8 * 8), (1, 5 * 4 * 4 * 4))
 
 
 def test_total_is_sum_of_layers():
@@ -242,10 +245,22 @@ def test_budget_target_one_is_empty():
     assert plan.mode == "budget"
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+# every coupling kind: conv->conv, conv->dense (with and without a pool
+# before the flatten), stride 2, with and without padding
+BUDGET_CNNS = (
+    "cnn:2x8x8:conv4k3s1p1-pool-conv3k3s2p1-dense3",
+    "cnn:1x9x9:conv3k3s2-conv4k3s1p1-pool-dense2",
+)
+
+
+@pytest.mark.parametrize(
+    "arch, seed",
+    [pytest.param("mlp:3-7-5-2", s, id=str(s)) for s in (0, 1, 2)]
+    + [pytest.param(a, s, id=f"cnn{i}-{s}") for i, a in enumerate(BUDGET_CNNS) for s in (0, 1)],
+)
 @pytest.mark.parametrize("target", [1.2, 1.5, 2.0, 3.0])
-def test_budget_matches_brute_force(seed, target):
-    model = build_model("mlp:3-7-5-2", seed=seed)
+def test_budget_matches_brute_force(arch, seed, target):
+    model = build_model(arch, seed=seed)
     expected, _ = brute_force_budget(model, target)
     if expected is None:
         with pytest.raises(UnreachableTargetError):
@@ -260,12 +275,13 @@ def test_budget_matches_brute_force(seed, target):
 
 
 def test_budget_unreachable_reports_max():
-    model = build_model("mlp:2-3-2", seed=0)
-    _, max_achievable = brute_force_budget(model, 1e9)
-    with pytest.raises(UnreachableTargetError) as err:
-        plan_by_budget(model, 1e9)
-    assert err.value.max_achievable == pytest.approx(max_achievable, rel=1e-12)
-    assert "maximum achievable" in str(err.value)
+    for arch in ("mlp:2-3-2", BUDGET_CNNS[0]):
+        model = build_model(arch, seed=0)
+        _, max_achievable = brute_force_budget(model, 1e9)
+        with pytest.raises(UnreachableTargetError) as err:
+            plan_by_budget(model, 1e9)
+        assert err.value.max_achievable == pytest.approx(max_achievable, rel=1e-12)
+        assert "maximum achievable" in str(err.value)
 
 
 def test_budget_below_one_rejected():

@@ -1,0 +1,40 @@
+"""Names that the README and the benchmark's timing hooks rely on still exist."""
+
+import ast
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_imports_resolve():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    checked = 0
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "torqueprune":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"README imports {node.module}.{alias.name}"
+                    checked += 1
+    assert checked > 0
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hook_targets_exist():
+    tracing = _tracing()
+    pairs = [(m, a) for m, a, _ in tracing.SPAN_FUNCTIONS + tracing.TRAINING_FUNCTIONS]
+    pairs += list(tracing.WRITE_FUNCTIONS) + list(tracing.OPS)
+    pairs += [("harness", "load_checkpoint"), ("harness", "Optimizer")]
+    for mod, attr in pairs:
+        assert hasattr(importlib.import_module(f"torqueprune.{mod}"), attr), f"torqueprune.{mod}.{attr}"
+    assert callable(importlib.import_module("torqueprune.harness").Optimizer.step)
