@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,15 +174,20 @@ def norms_snapshot(model: ModelGraph, indexings, epoch: int) -> dict:
 # train / evaluate
 
 
-def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
-    """Seeded mini-batch training; deterministic in the config."""
-    if dataset is None:
-        dataset = dataset_for(cfg)
-    model = build_model(cfg.arch, seed=cfg.seed)
-    _check_dims(model, dataset)
-    indexings = model_indexings(model, cfg.indexing, cfg.effective_indexing_seed)
-    spec = regularizer_spec(cfg)
-    reg_layers = penalized_layers(cfg, model)
+def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float, float, float]:
+    """Correct count, absolute-error sum and squared-error sum of one batch."""
+    if classification:
+        return float((np.argmax(out, axis=1) == y).sum()), 0.0, 0.0
+    err = out - y
+    return 0.0, float(np.abs(err).sum()), float((err * err).sum())
+
+
+def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
+    """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
+
+    ``forward``, the losses and ``backward`` are looked up in this module when
+    each step runs, so hooks installed on the module from outside see every step.
+    """
     opt = Optimizer(
         model.parameters(),
         kind=cfg.optimizer,
@@ -192,15 +197,10 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
         weight_decay=cfg.weight_decay,
     )
     n = dataset.train_x.shape[0]
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    sched = schedule_for(cfg, steps_per_epoch)
-    shuffle_rng = np.random.default_rng([cfg.seed, 11])
+    shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
-
-    metrics: list[MetricsRecord] = []
-    trajectory: list[dict] = []
     step = 0
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
         task_sum = pen_sum = correct = abs_sum = sq_sum = 0.0
         lr = lr_at(sched, cfg.lr, epoch - 1)
@@ -210,17 +210,13 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
                 lr = lr_at(sched, cfg.lr, step)
             opt.lr = lr
             x = _batch_input(dataset.train_x[idx], model.input_shape)
+            y = dataset.train_y[idx]
             out = forward(model, x)
-            if classification:
-                labels = dataset.train_y[idx]
-                task = softmax_cross_entropy(out, labels)
-                correct += float((np.argmax(out.data, axis=1) == labels).sum())
-            else:
-                target = dataset.train_y[idx]
-                task = mse_loss(out, Tensor(target))
-                err = out.data - target
-                abs_sum += float(np.abs(err).sum())
-                sq_sum += float((err * err).sum())
+            task = softmax_cross_entropy(out, y) if classification else mse_loss(out, Tensor(y))
+            hits, abs_err, sq_err = _score(out.data, y, classification)
+            correct += hits
+            abs_sum += abs_err
+            sq_sum += sq_err
             loss = total_loss(task, spec, model, indexings, reg_layers)
             value = loss.item()
             if not np.isfinite(value):
@@ -232,22 +228,37 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
             step += 1
         task_mean = task_sum / n
         pen_mean = pen_sum / n
-        metrics.append(
-            MetricsRecord(
-                epoch=epoch,
-                step=step,
-                task_loss=task_mean,
-                penalty_value=pen_mean,
-                total_loss=task_mean + cfg.reg_coefficient * pen_mean,
-                train_accuracy=correct / n if classification else None,
-                train_mae=None if classification else abs_sum / (n * dataset.train_y.shape[1]),
-                train_mse=None if classification else sq_sum / (n * dataset.train_y.shape[1]),
-                current_lr=lr,
-            )
+        yield MetricsRecord(
+            epoch=epoch,
+            step=step,
+            task_loss=task_mean,
+            penalty_value=pen_mean,
+            total_loss=task_mean + spec.reg_coefficient * pen_mean,
+            train_accuracy=correct / n if classification else None,
+            train_mae=None if classification else abs_sum / (n * dataset.train_y.shape[1]),
+            train_mse=None if classification else sq_sum / (n * dataset.train_y.shape[1]),
+            current_lr=lr,
         )
-        if epoch % cfg.log_norms_every == 0 or epoch == cfg.epochs:
-            if not trajectory or trajectory[-1]["epoch"] != epoch:
-                trajectory.append(norms_snapshot(model, indexings, epoch))
+
+
+def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
+    """Seeded mini-batch training; deterministic in the config."""
+    if dataset is None:
+        dataset = dataset_for(cfg)
+    model = build_model(cfg.arch, seed=cfg.seed)
+    _check_dims(model, dataset)
+    indexings = model_indexings(model, cfg.indexing, cfg.effective_indexing_seed)
+    sched = schedule_for(cfg, math.ceil(dataset.train_x.shape[0] / cfg.batch_size))
+    loop = _epochs(
+        cfg, model, dataset, cfg.epochs, [cfg.seed, 11], sched,
+        regularizer_spec(cfg), indexings, penalized_layers(cfg, model),
+    )
+    metrics: list[MetricsRecord] = []
+    trajectory: list[dict] = []
+    for record in loop:
+        metrics.append(record)
+        if record.epoch % cfg.log_norms_every == 0 or record.epoch == cfg.epochs:
+            trajectory.append(norms_snapshot(model, indexings, record.epoch))
     return TrainResult(model, indexings, metrics, trajectory, cfg, dataset)
 
 
@@ -256,18 +267,15 @@ def evaluate(model: ModelGraph, xs: np.ndarray, ys: np.ndarray, task: str, batch
     if xs.shape[0] != ys.shape[0]:
         raise ConfigError(f"evaluate received {xs.shape[0]} inputs but {ys.shape[0]} targets")
     n = xs.shape[0]
+    classification = task == "classification"
     correct = abs_sum = sq_sum = 0.0
     for start in range(0, n, batch_size):
         x = _batch_input(xs[start : start + batch_size], model.input_shape)
-        out = forward(model, x).data
-        y = ys[start : start + batch_size]
-        if task == "classification":
-            correct += float((np.argmax(out, axis=1) == y).sum())
-        else:
-            err = out - y
-            abs_sum += float(np.abs(err).sum())
-            sq_sum += float((err * err).sum())
-    if task == "classification":
+        hits, abs_err, sq_err = _score(forward(model, x).data, ys[start : start + batch_size], classification)
+        correct += hits
+        abs_sum += abs_err
+        sq_sum += sq_err
+    if classification:
         return correct / n
     count = n * ys.shape[1]
     return abs_sum / count, sq_sum / count
@@ -382,32 +390,9 @@ def make_plan(cfg: TrainConfig, model: ModelGraph):
 
 def finetune(cfg: TrainConfig, model: ModelGraph, dataset: Dataset) -> ModelGraph:
     """Brief post-pruning training of the small model, no regularizer."""
-    opt = Optimizer(
-        model.parameters(),
-        kind=cfg.optimizer,
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        betas=cfg.betas,
-        weight_decay=cfg.weight_decay,
-    )
-    rng = np.random.default_rng([cfg.seed, 13])
-    n = dataset.train_x.shape[0]
-    classification = dataset.task == "classification"
-    for epoch in range(1, cfg.finetune_epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x = _batch_input(dataset.train_x[idx], model.input_shape)
-            out = forward(model, x)
-            if classification:
-                loss = softmax_cross_entropy(out, dataset.train_y[idx])
-            else:
-                loss = mse_loss(out, Tensor(dataset.train_y[idx]))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericalAbort(epoch, opt.step_count, value)
-            backward(loss)
-            opt.step()
+    loop = _epochs(cfg, model, dataset, cfg.finetune_epochs, [cfg.seed, 13], LrSchedule(), RegularizerSpec(), [], [])
+    for _ in loop:
+        pass
     return model
 
 
@@ -421,11 +406,18 @@ class PipelineResult:
     finetuned: ModelGraph | None = None
 
 
+def _base_config(cfg: TrainConfig) -> TrainConfig:
+    return with_overrides(cfg, scheme="none", reg_coefficient=0.0)
+
+
 def run_pipeline(cfg: TrainConfig, write: bool = True) -> PipelineResult:
     """Train base + regularized twins, prune the twin, evaluate both."""
     dataset = dataset_for(cfg)
-    base_cfg = with_overrides(cfg, scheme="none", reg_coefficient=0.0)
-    base = train(base_cfg, dataset)
+    return _pipeline(cfg, dataset, train(_base_config(cfg), dataset), write)
+
+
+def _pipeline(cfg: TrainConfig, dataset: Dataset, base: TrainResult, write: bool) -> PipelineResult:
+    """Everything in a pipeline after the unregularized base is trained."""
     regularized = base if cfg.scheme == "none" else train(cfg, dataset)
 
     plan = make_plan(cfg, regularized.model)
@@ -454,7 +446,7 @@ def run_pipeline(cfg: TrainConfig, write: bool = True) -> PipelineResult:
     if write:
         os.makedirs(cfg.out_dir, exist_ok=True)
         join = lambda name: os.path.join(cfg.out_dir, name)
-        write_metrics_csv(join("base_metrics.csv"), base_cfg, base.metrics)
+        write_metrics_csv(join("base_metrics.csv"), base.config, base.metrics)
         write_metrics_csv(join("metrics.csv"), cfg, regularized.metrics)
         write_trajectory_jsonl(join("norms.jsonl"), cfg, regularized.trajectory)
         save_checkpoint(join("model_base.json"), base.model)
@@ -468,10 +460,20 @@ def run_pipeline(cfg: TrainConfig, write: bool = True) -> PipelineResult:
 
 
 def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
-    """One pipeline per coefficient; failures become rows, the sweep survives."""
+    """One pipeline per coefficient; failures become rows, the sweep survives.
+
+    The base run never sees the coefficient (and ``out_dir`` is not part of
+    a run's identity), so every coefficient shares one trained base.
+    """
     betas = list(betas)
     if not betas:
         raise ConfigError("sweep needs a non-empty coefficient list")
+    base_failure = None
+    try:
+        dataset = dataset_for(cfg)
+        base = train(_base_config(cfg), dataset)
+    except (NumericalAbort, ValueError) as exc:
+        base_failure = exc
     rows = []
     for beta in betas:
         sub = with_overrides(
@@ -480,8 +482,9 @@ def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
             out_dir=os.path.join(cfg.out_dir, f"beta_{beta:.6g}"),
         )
         try:
-            result = run_pipeline(sub, write=write)
-            row = dict(result.row)
+            if base_failure is not None:
+                raise base_failure
+            row = dict(_pipeline(sub, dataset, base, write).row)
             row["status"] = "ok"
         except (NumericalAbort, ValueError) as exc:
             row = {

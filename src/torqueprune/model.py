@@ -201,7 +201,11 @@ class ModelGraph:
     activations: list[str]  # applied after each layer: "relu" | "none"
     pools: list[bool]  # 2x2 average pool after the activation
     input_shape: tuple[int, ...]
-    couplings: list[Coupling] = field(default_factory=list)
+    couplings: list[Coupling] = field(init=False)
+
+    def __post_init__(self):
+        self.validate()
+        self.couplings = derive_couplings(self)
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -219,15 +223,22 @@ class ModelGraph:
         return sum(layer.group_count for layer in self.layers)
 
     def validate(self) -> None:
+        if not self.layers:
+            raise ConstructionError("a model needs at least one layer")
         if len(self.layers) != len(self.activations) or len(self.layers) != len(self.pools):
             raise ConstructionError("layers, activations and pools must align")
-        if len(self.couplings) != max(len(self.layers) - 1, 0):
-            raise ConstructionError("couplings must cover every adjacent layer pair")
-        for i, layer in enumerate(self.layers):
+        for i, (layer, act, pool) in enumerate(zip(self.layers, self.activations, self.pools)):
+            if layer.kind not in _WEIGHT_DIMS:
+                raise ConstructionError(f"layer {i} has unknown kind {layer.kind!r}")
+            if len(layer.weight.shape) != _WEIGHT_DIMS[layer.kind] or min(layer.weight.shape) < 1:
+                raise ConstructionError(f"layer {i} ({layer.kind}) has a weight of shape {layer.weight.shape}")
+            if act not in ("relu", "none"):
+                raise ConstructionError(f"layer {i} has unknown activation {act!r}")
+            if pool and layer.kind != "conv2d":
+                raise ConstructionError(f"layer {i} ({layer.kind}) cannot pool; only conv layers do")
             if layer.bias is not None and layer.bias.shape != (layer.group_count,):
                 raise ConstructionError(f"layer {i} bias {layer.bias.shape} does not match {layer.group_count} groups")
-        shapes = layer_output_shapes(self)  # raises on any incompatibility
-        assert len(shapes) == len(self.layers)
+        layer_output_shapes(self)  # raises on any incompatibility
 
     # -- checkpoint serialization (documented in the README) --
 
@@ -264,20 +275,43 @@ class ModelGraph:
             layers.append(GroupedLayer(entry["kind"], weight, bias, entry["stride"], entry["padding"]))
             acts.append(entry["activation"])
             pools.append(entry["pool"])
-        model = cls(layers, acts, pools, tuple(d["input_shape"]))
-        model.couplings = derive_couplings(model)
-        model.validate()
-        return model
+        return cls(layers, acts, pools, tuple(d["input_shape"]))
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
+# weight dimensions per layer kind: dense [out, in], conv2d [C_out, C_in, K, K]
+_WEIGHT_DIMS = {"dense": 2, "conv2d": 4}
+
+
 def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int, int]:
+    if stride < 1 or padding < 0:
+        raise ConstructionError(f"conv needs stride >= 1 and padding >= 0, got stride {stride}, padding {padding}")
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ConstructionError(f"conv kernel {k}x{k} exceeds padded input {h + 2 * padding}x{w + 2 * padding}")
     return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+
+
+def _layer_out_shape(shape, layer: GroupedLayer, pool: bool) -> tuple[int, ...]:
+    """Shape after one layer (activation and pool included) from its input shape; dense flattens."""
+    weight_shape = layer.weight.shape
+    if layer.kind == "dense":
+        flat = int(np.prod(shape))
+        if flat != weight_shape[1]:
+            raise ConstructionError(f"dense layer expects {weight_shape[1]} inputs but receives {flat}")
+        return (weight_shape[0],)
+    if len(shape) != 3:
+        raise ConstructionError(f"conv layer needs a CxHxW input, got {shape}")
+    if shape[0] != weight_shape[1]:
+        raise ConstructionError(f"conv expects {weight_shape[1]} input channels, got {shape[0]}")
+    h, w = _conv_out_hw(shape[1], shape[2], weight_shape[2], layer.stride, layer.padding)
+    if pool:
+        if h % 2 or w % 2:
+            raise ConstructionError(f"pool needs even spatial dims, got {h}x{w}")
+        h, w = h // 2, w // 2
+    return (weight_shape[0], h, w)
 
 
 def layer_output_shapes(model: ModelGraph) -> list[tuple[int, ...]]:
@@ -285,24 +319,7 @@ def layer_output_shapes(model: ModelGraph) -> list[tuple[int, ...]]:
     shape = model.input_shape
     out = []
     for layer, pool in zip(model.layers, model.pools):
-        if layer.kind == "conv2d":
-            if len(shape) != 3:
-                raise ConstructionError(f"conv layer needs a CxHxW input, got {shape}")
-            c, h, w = shape
-            if c != layer.weight.shape[1]:
-                raise ConstructionError(f"conv expects {layer.weight.shape[1]} input channels, got {c}")
-            k = layer.weight.shape[2]
-            h2, w2 = _conv_out_hw(h, w, k, layer.stride, layer.padding)
-            if pool:
-                if h2 % 2 or w2 % 2:
-                    raise ConstructionError(f"pool needs even spatial dims, got {h2}x{w2}")
-                h2, w2 = h2 // 2, w2 // 2
-            shape = (layer.group_count, h2, w2)
-        else:
-            flat = int(np.prod(shape))
-            if flat != layer.in_size:
-                raise ConstructionError(f"dense layer expects {layer.in_size} inputs but receives {flat}")
-            shape = (layer.group_count,)
+        shape = _layer_out_shape(shape, layer, pool)
         out.append(shape)
     return out
 
@@ -332,43 +349,22 @@ def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:
 
     layers: list[GroupedLayer] = []
     acts: list[str] = []
-    pools: list[bool] = []
     shape = tuple(arch.input_shape)
     for pos, spec in enumerate(arch.layers):
-        last = pos == len(arch.layers) - 1
         if spec.kind == "conv2d":
-            if len(shape) != 3:
-                raise ConstructionError(f"conv layer at position {pos} needs a CxHxW input, got {shape}")
-            c_in = shape[0]
-            fan_in = c_in * spec.k * spec.k
-            bound = np.sqrt(6.0 / fan_in)
-            weight = Tensor(rng.uniform(-bound, bound, (spec.out, c_in, spec.k, spec.k)), requires_grad=True)
-            bias = Tensor(rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), spec.out), requires_grad=True)
-            layers.append(GroupedLayer("conv2d", weight, bias, spec.stride, spec.padding))
-            h2, w2 = _conv_out_hw(shape[1], shape[2], spec.k, spec.stride, spec.padding)
-            if spec.pool:
-                if h2 % 2 or w2 % 2:
-                    raise ConstructionError(f"pool after layer {pos} needs even dims, got {h2}x{w2}")
-                h2, w2 = h2 // 2, w2 // 2
-            shape = (spec.out, h2, w2)
-            pools.append(spec.pool)
+            weight_shape = (spec.out, shape[0], spec.k, spec.k)
         elif spec.kind == "dense":
-            flat = int(np.prod(shape))
-            fan_in = flat
-            bound = np.sqrt(6.0 / fan_in)
-            weight = Tensor(rng.uniform(-bound, bound, (spec.out, flat)), requires_grad=True)
-            bias = Tensor(rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), spec.out), requires_grad=True)
-            layers.append(GroupedLayer("dense", weight, bias))
-            shape = (spec.out,)
-            pools.append(False)
+            weight_shape = (spec.out, int(np.prod(shape)))
         else:
             raise ConstructionError(f"unknown layer kind {spec.kind!r}")
-        acts.append("none" if last else "relu")
-
-    model = ModelGraph(layers, acts, pools, tuple(arch.input_shape))
-    model.couplings = derive_couplings(model)
-    model.validate()
-    return model
+        fan_in = int(np.prod(weight_shape[1:]))
+        bound = np.sqrt(6.0 / fan_in)
+        weight = Tensor(rng.uniform(-bound, bound, weight_shape), requires_grad=True)
+        bias = Tensor(rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), spec.out), requires_grad=True)
+        layers.append(GroupedLayer(spec.kind, weight, bias, spec.stride, spec.padding))
+        acts.append("none" if pos == len(arch.layers) - 1 else "relu")
+        shape = _layer_out_shape(shape, layers[-1], spec.pool)
+    return ModelGraph(layers, acts, [spec.pool for spec in arch.layers], tuple(arch.input_shape))
 
 
 # ---------------------------------------------------------------------------

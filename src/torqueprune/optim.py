@@ -10,11 +10,11 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError, Tensor
+from .tensor import ContractError
 
 OPTIMIZER_KINDS = ("sgd_momentum", "adam", "adamw")
 SCHEDULE_KINDS = ("multistep", "step", "cosine", "linear_warmup_decay", "constant")

@@ -18,7 +18,6 @@ from .model import (
     ConstructionError,
     GroupedLayer,
     ModelGraph,
-    derive_couplings,
     group_norm_values,
     layer_output_shapes,
 )
@@ -223,12 +222,9 @@ def apply_plan(model: ModelGraph, plan: PrunePlan) -> ModelGraph:
             GroupedLayer(layer.kind, Tensor(w.copy(), requires_grad=True), bias, layer.stride, layer.padding)
         )
 
-    pruned = ModelGraph(
+    return ModelGraph(
         layers=new_layers,
         activations=list(model.activations),
         pools=list(model.pools),
         input_shape=tuple(model.input_shape),
     )
-    pruned.couplings = derive_couplings(pruned)
-    pruned.validate()
-    return pruned

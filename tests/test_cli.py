@@ -138,12 +138,50 @@ def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
     assert row.endswith("failed:ConfigError")
 
 
-@pytest.mark.parametrize("part", ["weight", "bias"])
-def test_malformed_checkpoint_exit_1(toy_cfg, tmp_path, capsys, part):
+def _truncate(part):
+    def mutate(record):
+        record["layers"][0][part]["data"] = record["layers"][0][part]["data"][:-1]
+
+    return mutate
+
+
+def _flat_weight(record):
+    weight = record["layers"][0]["weight"]
+    weight["shape"] = [len(weight["data"])]
+
+
+def _zero_stride_conv(record):
+    # the first dense layer (16 x 2) read as a 1x1 conv over a 2x1x1 input
+    record["input_shape"] = [2, 1, 1]
+    record["layers"][0].update(kind="conv2d", stride=0)
+    record["layers"][0]["weight"]["shape"] = [16, 2, 1, 1]
+
+
+def _unknown_kind(record):
+    record["layers"] = record["layers"][1:]
+    record["input_shape"] = [16]
+    record["layers"][0]["kind"] = "lstm"
+
+
+# mutations of a trained mlp:2-16-2 checkpoint that `prune` must reject as malformed (exit 1)
+MALFORMED = {
+    "weight": _truncate("weight"),
+    "bias": _truncate("bias"),
+    "no_layers": lambda record: record.update(layers=[]),
+    "flat_dense_weight": _flat_weight,
+    "zero_stride": _zero_stride_conv,
+    "unknown_activation": lambda record: record["layers"][0].update(activation="tanh"),
+    "unknown_kind": _unknown_kind,
+    "dense_pool": lambda record: record["layers"][0].update(pool=True),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_checkpoint_exit_1(toy_cfg, tmp_path, capsys, case):
     main(["train", toy_cfg])
     ckpt = tmp_path / "out" / "model.json"
     record = json.loads(ckpt.read_text())
-    record["layers"][0][part]["data"] = record["layers"][0][part]["data"][:-1]
+    MALFORMED[case](record)
     ckpt.write_text(json.dumps(record))
     capsys.readouterr()
     assert main(["prune", toy_cfg, "--checkpoint", str(ckpt)]) == 1

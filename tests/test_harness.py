@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from torqueprune.config import ConfigError, parse_config, with_overrides
+from torqueprune import harness
 from torqueprune.harness import (
     METRICS_COLUMNS,
     NumericalAbort,
+    dataset_for,
     evaluate,
+    finetune,
     load_checkpoint,
     run_pipeline,
     sweep,
@@ -80,6 +83,15 @@ def test_numerical_abort_diagnostics():
     assert err.value.epoch >= 1
     assert err.value.step >= 0
     assert "epoch" in str(err.value)
+
+
+def test_finetune_numerical_abort():
+    cfg = with_overrides(toy_config(), lr=1e8, finetune_epochs=8)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalAbort) as err:
+            finetune(cfg, build_model(cfg.arch, seed=0), dataset_for(cfg))
+    assert err.value.epoch >= 1
+    assert err.value.step >= 0
 
 
 def test_trajectory_period_and_identities():
@@ -315,6 +327,29 @@ def test_sweep_records_failures_and_continues(tmp_path):
     assert all("speedup" not in r for r in rows)
     lines = (tmp_path / "f" / "sweep.csv").read_text().splitlines()
     assert lines[-1].endswith("failed:UnreachableTargetError")
+
+
+def test_sweep_trains_one_shared_base(monkeypatch):
+    schemes = []
+    real_train = harness.train
+
+    def counting_train(cfg, dataset=None):
+        schemes.append(cfg.scheme)
+        return real_train(cfg, dataset)
+
+    monkeypatch.setattr(harness, "train", counting_train)
+    betas = [1e-4, 1e-3, 0.0]
+    rows = sweep(toy_config("scheme = l1\n"), betas, write=False)
+    assert all(r["status"] == "ok" for r in rows)
+    assert len(schemes) == len(betas) + 1
+    assert schemes.count("none") == 1
+
+
+def test_sweep_base_abort_fails_every_row():
+    cfg = with_overrides(toy_config("scheme = l1\n"), lr=1e8, epochs=8)
+    with np.errstate(all="ignore"):
+        rows = sweep(cfg, [1e-4, 1e-3], write=False)
+    assert [r["status"] for r in rows] == ["failed:NumericalAbort"] * 2
 
 
 def test_sweep_empty_grid_rejected():

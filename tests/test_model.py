@@ -8,7 +8,6 @@ from torqueprune.model import (
     assign_indexing,
     build_model,
     coupled_slices,
-    derive_couplings,
     forward,
     group_l2_norm,
     group_norm_values,
@@ -158,7 +157,7 @@ def test_forward_identity_network():
         pools=[False, False],
         input_shape=(3,),
     )
-    eye.couplings = derive_couplings(eye)
+    assert [c.kind for c in eye.couplings] == ["dense_to_dense"]
     x = np.random.default_rng(0).uniform(-1, 1, (5, 3))
     out = forward(eye, Tensor(x))
     assert np.allclose(out.data, x)
@@ -195,7 +194,6 @@ def test_forward_zeroed_group_matches_structural_absence():
         pools=[False, False],
         input_shape=(2,),
     )
-    small.couplings = derive_couplings(small)
     x = Tensor(np.random.default_rng(3).uniform(-1, 1, (10, 2)))
     assert np.allclose(forward(model, x).data, forward(small, x).data, atol=1e-12)
 

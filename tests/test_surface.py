@@ -38,3 +38,23 @@ def test_benchmark_hook_targets_exist():
     for mod, attr in pairs:
         assert hasattr(importlib.import_module(f"torqueprune.{mod}"), attr), f"torqueprune.{mod}.{attr}"
     assert callable(importlib.import_module("torqueprune.harness").Optimizer.step)
+
+
+def test_benchmark_step_probe_sees_every_step(monkeypatch):
+    harness = importlib.import_module("torqueprune.harness")
+    config = importlib.import_module("torqueprune.config")
+    for name in ("forward", "train", "finetune"):
+        monkeypatch.setattr(harness, name, getattr(harness, name))
+    probe = _tracing().StepProbe()
+    probe.install()
+    cfg = config.parse_config(
+        "arch = mlp:2-8-2\ndataset = two_spirals\ndataset_size = 100\nepochs = 3\nbatch_size = 32\n"
+        "scheme = l1\nreg_coefficient = 1e-3\nfinetune_epochs = 2\n"
+    )
+    harness.run_pipeline(cfg, write=False)
+    n = harness.dataset_for(cfg).train_x.shape[0]
+    steps = -(-n // cfg.batch_size)
+    assert len(probe.regularized) == 3 * steps
+    assert len(probe.unregularized) == (3 + 2) * steps  # the base run, then the fine-tune
+    assert probe.samples == (3 + 3 + 2) * n
+    assert probe.train_s > 0
