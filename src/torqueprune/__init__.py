@@ -39,11 +39,8 @@ from .model import (
     ModelGraph,
     assign_indexing,
     build_model,
-    coupled_slices,
     forward,
-    group_l2_norm,
     group_norm_values,
-    layer_group_norms,
     model_indexings,
     parse_arch,
 )
@@ -64,7 +61,6 @@ from .regularizers import (
     RegularizerSpec,
     SCHEMES,
     distance_weight,
-    heaviside_reference_penalty,
     model_penalty,
     penalty,
     resolve_exp_base,
@@ -75,7 +71,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward,
-    finite_diff_grad,
     mse_loss,
     softmax_cross_entropy,
 )
@@ -113,18 +108,13 @@ __all__ = [
     "build_model",
     "config_hash",
     "count_macs",
-    "coupled_slices",
     "dataset_for",
     "distance_weight",
     "evaluate",
     "evaluate_dataset",
-    "finite_diff_grad",
     "forward",
     "gen_dataset",
-    "group_l2_norm",
     "group_norm_values",
-    "heaviside_reference_penalty",
-    "layer_group_norms",
     "load_config",
     "load_csv_dataset",
     "lr_at",

@@ -94,10 +94,6 @@ _FLOAT_KEYS = {
     "warmup_fraction", "reg_coefficient", "heaviside_threshold",
     "heaviside_force", "prune_threshold", "prune_target",
 }
-_STR_KEYS = {
-    "arch", "dataset", "task", "optimizer", "schedule", "schedule_unit",
-    "scheme", "indexing", "prune_mode", "out_dir",
-}
 
 
 def _parse_value(key: str, raw: str):

@@ -19,12 +19,10 @@ from .tensor import (
     bias_add,
     conv2d,
     group_norm_array,
-    group_norms,
-    l2_norm,
+    group_norms,  # the penalty's norm op; regularizers looks it up here
     matmul,
     relu,
     reshape,
-    take_axis0,
     transpose,
 )
 
@@ -40,11 +38,8 @@ __all__ = [
     "build_model",
     "assign_indexing",
     "model_indexings",
-    "group_l2_norm",
-    "layer_group_norms",
     "group_norm_values",
     "forward",
-    "coupled_slices",
 ]
 
 
@@ -87,7 +82,8 @@ def parse_arch(text: str) -> ArchSpec:
         cnn:3x32x32:conv8k3s1p1-pool-dense10
 
     Dense chains get a relu after every layer except the last; ``pool``
-    attaches a 2x2 average pool to the preceding conv layer.
+    attaches a 2x2 average pool to the preceding conv layer, at most once.
+    Every size, kernel and stride is at least 1.
     """
     text = text.strip()
     if text.startswith("mlp:"):
@@ -111,8 +107,8 @@ def parse_arch(text: str) -> ArchSpec:
         layers: list[LayerSpec] = []
         for tok in parts[2].split("-"):
             if tok == "pool":
-                if not layers or layers[-1].kind != "conv2d":
-                    raise ConstructionError("pool token must follow a conv layer")
+                if not layers or layers[-1].kind != "conv2d" or layers[-1].pool:
+                    raise ConstructionError("pool token must follow a conv layer, once")
                 layers[-1].pool = True
                 continue
             m = _CONV_RE.match(tok)
@@ -134,6 +130,10 @@ def parse_arch(text: str) -> ArchSpec:
             raise ConstructionError(f"unknown architecture token {tok!r}")
         if not layers:
             raise ConstructionError(f"cnn architecture has no layers: {text!r}")
+        sizes = [c, h, w] + [s.out for s in layers] + [s.stride for s in layers]
+        sizes += [s.k for s in layers if s.kind == "conv2d"]
+        if min(sizes) < 1:
+            raise ConstructionError(f"cnn sizes, kernels and strides must be positive, got {text!r}")
         return ArchSpec(input_shape=(c, h, w), layers=layers)
 
     raise ConstructionError(f"architecture must start with 'mlp:' or 'cnn:', got {text!r}")
@@ -398,21 +398,6 @@ def model_indexings(model: ModelGraph, strategy: str = "natural", seed: int = 0)
 # norms and forward
 
 
-def group_l2_norm(layer: GroupedLayer, i: int) -> Tensor:
-    """Differentiable Euclidean norm of group i (weight slice plus bias entry)."""
-    if not 0 <= i < layer.group_count:
-        raise IndexError(f"group {i} out of range for layer with {layer.group_count} groups")
-    parts = [take_axis0(layer.weight, i)]
-    if layer.bias is not None:
-        parts.append(take_axis0(layer.bias, i))
-    return l2_norm(*parts)
-
-
-def layer_group_norms(layer: GroupedLayer) -> Tensor:
-    """Differentiable vector of all group norms of one layer."""
-    return group_norms(layer.weight, layer.bias)
-
-
 def group_norm_values(model: ModelGraph) -> list[np.ndarray]:
     """Plain numpy group norms per layer (no graph), for pruning and logging."""
     return [
@@ -441,23 +426,3 @@ def forward(model: ModelGraph, batch: Tensor) -> Tensor:
         if pool:
             x = avg_pool2x2(x)
     return x
-
-
-def coupled_slices(model: ModelGraph, layer: int, group: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Input slices of the successor that die with output group ``group``.
-
-    Returns (successor layer index, input indices) pairs; input indices are
-    dense columns, or a single channel index for a conv successor.  Empty for
-    the last layer.
-    """
-    if not 0 <= layer < len(model.layers):
-        raise IndexError(f"layer {layer} out of range")
-    if not 0 <= group < model.layers[layer].group_count:
-        raise IndexError(f"group {group} out of range for layer {layer}")
-    if layer == len(model.layers) - 1:
-        return []
-    coupling = model.couplings[layer]
-    if coupling.kind == "conv_to_dense":
-        cols = tuple(range(group * coupling.block, (group + 1) * coupling.block))
-        return [(layer + 1, cols)]
-    return [(layer + 1, (group,))]

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GroupIndexing, GroupedLayer, ModelGraph, layer_group_norms
+from . import model as _model
+from .model import GroupIndexing, GroupedLayer, ModelGraph
 from .tensor import ContractError, Tensor, add, scale, weighted_sum
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "penalty",
     "model_penalty",
     "total_loss",
-    "heaviside_reference_penalty",
 ]
 
 SCHEMES = ("linear_torque", "heaviside", "exponential_etp", "l1", "none")
@@ -120,7 +120,9 @@ def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing)
     """Differentiable sum over groups of norm * distance_weight for one layer."""
     if spec.scheme == "none":
         return Tensor(0.0)
-    return weighted_sum(layer_group_norms(layer), _weights_for_layer(spec, layer, indexing))
+    # looked up on ``model``, where the benchmark's op tracer wraps it
+    norms = _model.group_norms(layer.weight, layer.bias)
+    return weighted_sum(norms, _weights_for_layer(spec, layer, indexing))
 
 
 def model_penalty(
@@ -151,26 +153,8 @@ def model_penalty(
     return total
 
 
-def total_loss(
-    task_loss: Tensor,
-    spec: RegularizerSpec,
-    model: ModelGraph,
-    indexings: list[GroupIndexing],
-    layers: Sequence[int] | None = None,
-) -> Tensor:
-    """task_loss + reg_coefficient * model penalty; exact pass-through when off."""
+def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Tensor:
+    """task_loss + reg_coefficient * penalty (from ``model_penalty``); exact pass-through when off."""
     if spec.scheme == "none" or spec.reg_coefficient == 0.0:
         return task_loss
-    return add(task_loss, scale(model_penalty(spec, model, indexings, layers), spec.reg_coefficient))
-
-
-def heaviside_reference_penalty(
-    layer: GroupedLayer,
-    indexing: GroupIndexing,
-    threshold: float,
-    force: float,
-) -> float:
-    """Non-differentiable step-function penalty, for analysis and tests only."""
-    spec = RegularizerSpec(scheme="heaviside", heaviside_threshold=threshold, heaviside_force=force)
-    norms = layer_group_norms(layer).data
-    return float((norms * _weights_for_layer(spec, layer, indexing)).sum())
+    return add(task_loss, scale(penalty, spec.reg_coefficient))

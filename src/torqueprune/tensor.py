@@ -34,12 +34,9 @@ __all__ = [
     "conv2d",
     "softmax_cross_entropy",
     "mse_loss",
-    "take_axis0",
-    "l2_norm",
     "group_norms",
     "group_norm_array",
     "backward",
-    "finite_diff_grad",
 ]
 
 NORM_EPS = 1e-12  # below this a norm is treated as exactly zero (subgradient 0)
@@ -139,7 +136,7 @@ def weighted_sum(a: Tensor, coeffs) -> Tensor:
     c = np.asarray(coeffs, dtype=np.float64)
     if c.shape != a.shape:
         raise ShapeError(f"weighted_sum: coeff shape {c.shape} does not match {a.shape}")
-    out = np.asarray((a.data * c).sum())
+    out = np.asarray(np.vdot(a.data, c))
     return _from_op(out, (a,), "weighted_sum", lambda g: (float(g) * c,))
 
 
@@ -315,39 +312,6 @@ def avg_pool2x2(x: Tensor) -> Tensor:
 # group-norm helpers
 
 
-def take_axis0(x: Tensor, i: int) -> Tensor:
-    """Select slice i along axis 0 (a dense row, a conv filter, a bias entry)."""
-    i = int(i)
-    if not 0 <= i < x.shape[0]:
-        raise IndexError(f"index {i} out of range for axis of size {x.shape[0]}")
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return (gx,)
-
-    return _from_op(np.asarray(x.data[i]), (x,), "take_axis0", bwd)
-
-
-def l2_norm(*parts: Tensor) -> Tensor:
-    """Euclidean norm over the concatenation of the given tensors.
-
-    Subgradient is 0 when the norm falls below 1e-12, so dead groups stay
-    dead and nothing divides by zero.
-    """
-    if not parts:
-        raise ContractError("l2_norm: needs at least one tensor")
-    sq = sum(float((p.data * p.data).sum()) for p in parts)
-    norm = float(np.sqrt(sq))
-    inv = 1.0 / norm if norm >= NORM_EPS else 0.0
-
-    def bwd(g):
-        c = float(g) * inv
-        return tuple(c * p.data if p.requires_grad else None for p in parts)
-
-    return _from_op(np.asarray(norm), parts, "l2_norm", bwd)
-
-
 def group_norm_array(weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Euclidean norm of each slice along axis 0, its bias entry included.
 
@@ -363,9 +327,9 @@ def group_norm_array(weight: np.ndarray, bias: np.ndarray | None = None) -> np.n
 def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-output-slice Euclidean norms, one per row of axis 0.
 
-    Equivalent to stacking ``l2_norm`` over every slice, but vectorized; the
-    bias entry of each slice is part of its norm.  Same zero-subgradient
-    convention below 1e-12.
+    The bias entry of each slice is part of its norm.  The subgradient is 0
+    where a norm falls below 1e-12, so dead groups stay dead and nothing
+    divides by zero.
     """
     if weight.data.ndim < 2:
         raise ShapeError(f"group_norms: weight must have ndim >= 2, got {weight.shape}")
@@ -443,33 +407,3 @@ def backward(loss: Tensor) -> None:
                     local[key] = local[key] + pg
                 else:
                     local[key] = pg
-
-
-# ---------------------------------------------------------------------------
-# finite differences (test oracle)
-
-
-def finite_diff_grad(f, x: Tensor, h: float = 1e-4) -> Tensor:
-    """Central-difference gradient of a tensor-to-scalar function.
-
-    Test oracle only.  Unreliable within h of a relu kink and near norm
-    singularities (group norms below ~1e-6); callers exclude those points.
-    """
-    if h <= 0:
-        raise ContractError(f"finite_diff_grad: h must be positive, got {h}")
-    base = x.data.copy()
-    out = np.empty_like(base)
-    flat = out.reshape(-1)
-    for idx in range(base.size):
-        hi = base.copy()
-        lo = base.copy()
-        hi.flat[idx] += h
-        lo.flat[idx] -= h
-        flat[idx] = (_as_float(f(Tensor(hi))) - _as_float(f(Tensor(lo)))) / (2.0 * h)
-    return Tensor(out)
-
-
-def _as_float(v) -> float:
-    if isinstance(v, Tensor):
-        return v.item()
-    return float(v)

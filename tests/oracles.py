@@ -1,0 +1,108 @@
+"""Test oracles: slow, scalar-by-scalar references for the package's vectorized code.
+
+None of this is part of the package.  Each helper recomputes something the
+package does in one vectorized pass (gradients, per-group norms, the
+heaviside penalty, successor slices) the slow and obvious way, so tests can
+hold the fast path to it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph
+from torqueprune.tensor import NORM_EPS, ContractError, Tensor, _from_op, group_norm_array
+
+
+def finite_diff_grad(f, x: Tensor, h: float = 1e-4) -> Tensor:
+    """Central-difference gradient of a tensor-to-scalar function.
+
+    Unreliable within h of a relu kink and near norm singularities (group
+    norms below ~1e-6); callers exclude those points.
+    """
+    if h <= 0:
+        raise ContractError(f"finite_diff_grad: h must be positive, got {h}")
+    base = x.data.copy()
+    out = np.empty_like(base)
+    flat = out.reshape(-1)
+    for idx in range(base.size):
+        hi = base.copy()
+        lo = base.copy()
+        hi.flat[idx] += h
+        lo.flat[idx] -= h
+        flat[idx] = (_as_float(f(Tensor(hi))) - _as_float(f(Tensor(lo)))) / (2.0 * h)
+    return Tensor(out)
+
+
+def _as_float(v) -> float:
+    if isinstance(v, Tensor):
+        return v.item()
+    return float(v)
+
+
+def take_axis0(x: Tensor, i: int) -> Tensor:
+    """Select slice i along axis 0 (a dense row, a conv filter, a bias entry)."""
+    i = int(i)
+    if not 0 <= i < x.shape[0]:
+        raise IndexError(f"index {i} out of range for axis of size {x.shape[0]}")
+
+    def bwd(g):
+        gx = np.zeros_like(x.data)
+        gx[i] = g
+        return (gx,)
+
+    return _from_op(np.asarray(x.data[i]), (x,), "take_axis0", bwd)
+
+
+def l2_norm(*parts: Tensor) -> Tensor:
+    """Euclidean norm over the concatenation of the given tensors.
+
+    Subgradient is 0 when the norm falls below 1e-12, as in ``group_norms``.
+    """
+    if not parts:
+        raise ContractError("l2_norm: needs at least one tensor")
+    sq = sum(float((p.data * p.data).sum()) for p in parts)
+    norm = float(np.sqrt(sq))
+    inv = 1.0 / norm if norm >= NORM_EPS else 0.0
+
+    def bwd(g):
+        c = float(g) * inv
+        return tuple(c * p.data if p.requires_grad else None for p in parts)
+
+    return _from_op(np.asarray(norm), parts, "l2_norm", bwd)
+
+
+def group_l2_norm(layer: GroupedLayer, i: int) -> Tensor:
+    """Differentiable Euclidean norm of group i (weight slice plus bias entry)."""
+    if not 0 <= i < layer.group_count:
+        raise IndexError(f"group {i} out of range for layer with {layer.group_count} groups")
+    parts = [take_axis0(layer.weight, i)]
+    if layer.bias is not None:
+        parts.append(take_axis0(layer.bias, i))
+    return l2_norm(*parts)
+
+
+def heaviside_reference_penalty(layer: GroupedLayer, indexing: GroupIndexing, threshold: float, force: float) -> float:
+    """Step-function penalty: force times the norm of every group at distance >= threshold."""
+    norms = group_norm_array(layer.weight.data, None if layer.bias is None else layer.bias.data)
+    return float((norms * np.where(indexing.distances >= threshold, force, 0.0)).sum())
+
+
+def coupled_slices(model: ModelGraph, layer: int, group: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Input slices of the successor that die with output group ``group``.
+
+    Returns (successor layer index, input indices) pairs; input indices are
+    dense columns, or a single channel index for a conv successor.  Empty for
+    the last layer.
+    """
+    if not 0 <= layer < len(model.layers):
+        raise IndexError(f"layer {layer} out of range")
+    if not 0 <= group < model.layers[layer].group_count:
+        raise IndexError(f"group {group} out of range for layer {layer}")
+    if layer == len(model.layers) - 1:
+        return []
+    coupling = model.couplings[layer]
+    if coupling.kind == "conv_to_dense":
+        cols = tuple(range(group * coupling.block, (group + 1) * coupling.block))
+        return [(layer + 1, cols)]
+    return [(layer + 1, (group,))]

@@ -33,10 +33,10 @@ from torqueprune import (
     count_macs,
     dataset_for,
     distance_weight,
-    finite_diff_grad,
     forward,
     group_norm_values,
     model_indexings,
+    model_penalty,
     penalty,
     plan_by_budget,
     plan_by_threshold,
@@ -52,6 +52,8 @@ from torqueprune import (
     with_overrides,
 )
 from torqueprune.model import GroupedLayer
+
+from oracles import finite_diff_grad
 
 
 @contextmanager
@@ -145,7 +147,7 @@ def test_criterion_03_gradient_fidelity():
 
                 def build_loss():
                     task = softmax_cross_entropy(forward(model, x), labels)
-                    return total_loss(task, spec, model, idxs)
+                    return total_loss(task, spec, model_penalty(spec, model, idxs))
 
                 model.zero_grad()
                 backward(build_loss())

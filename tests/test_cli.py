@@ -138,6 +138,21 @@ def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
     assert row.endswith("failed:ConfigError")
 
 
+def test_finetune_of_a_pruned_head_narrower_than_class_count_exit_1(tmp_path, capsys):
+    # this budget plan removes a class logit, so the fine-tune cannot fit both spirals
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(
+        "arch = mlp:2-16-16-2\ndataset = two_spirals\ndataset_size = 200\nepochs = 5\n"
+        "scheme = exponential_etp\nreg_coefficient = 1e-3\nprune_mode = budget\nprune_target = 4.0\n"
+        "finetune_epochs = 2\n" + f"out_dir = {tmp_path}/narrow\n"
+    )
+    assert main(["pipeline", str(cfg)]) == 1
+    assert "architecture has 1 outputs but dataset has 2 classes" in capsys.readouterr().err
+    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
+    row = (tmp_path / "narrow" / "sweep.csv").read_text().splitlines()[-1]
+    assert row.endswith("failed:ConfigError")
+
+
 def _truncate(part):
     def mutate(record):
         record["layers"][0][part]["data"] = record["layers"][0][part]["data"][:-1]

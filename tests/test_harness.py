@@ -17,7 +17,8 @@ from torqueprune.harness import (
     sweep,
     train,
 )
-from torqueprune.model import build_model
+from torqueprune.model import build_model, group_norm_values, model_indexings
+from torqueprune.regularizers import distance_weight
 from torqueprune.pruner import UnreachableTargetError, count_macs
 from torqueprune.tensor import Tensor
 
@@ -73,6 +74,30 @@ def test_inactive_regularizer_matches_none_exactly():
         assert b.total_loss == b.task_loss
     for la, lb in zip(none_run.model.layers, l1_zero.model.layers):
         assert la.weight.data.tobytes() == lb.weight.data.tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["linear_torque", "heaviside", "exponential_etp", "l1"])
+def test_logged_penalty_is_the_penalty_of_the_step(scheme):
+    # one step over all 128 rows, so the epoch mean is the penalty of the initial weights;
+    # 128 is a power of two, so weighting by batch size and dividing by it is exact
+    extra = f"scheme = {scheme}\nreg_coefficient = 1e-3\n"
+    if scheme == "heaviside":
+        extra += "heaviside_threshold = 3\nheaviside_force = 2\n"
+    cfg = with_overrides(toy_config(extra), dataset_size=128, epochs=1, batch_size=256, arch="mlp:2-16-16-2")
+    record = train(cfg).metrics[0]
+    assert record.step == 1
+
+    m0 = build_model(cfg.arch, seed=cfg.seed)
+    idxs = model_indexings(m0, cfg.indexing, cfg.effective_indexing_seed)
+    spec = harness.regularizer_spec(cfg)
+    norms = group_norm_values(m0)
+    expected = 0.0
+    for l in harness.penalized_layers(cfg, m0):
+        w = np.array([distance_weight(spec, d, m0.layers[l].group_count) for d in idxs[l].distances])
+        expected += float(np.dot(norms[l], w))
+    assert expected > 0.0
+    assert record.penalty_value == expected
+    assert record.total_loss == record.task_loss + cfg.reg_coefficient * expected
 
 
 def test_numerical_abort_diagnostics():

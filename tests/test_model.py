@@ -7,15 +7,14 @@ from torqueprune.model import (
     ModelGraph,
     assign_indexing,
     build_model,
-    coupled_slices,
     forward,
-    group_l2_norm,
     group_norm_values,
-    layer_group_norms,
     model_indexings,
     parse_arch,
 )
-from torqueprune.tensor import ShapeError, Tensor, backward, sum_all
+from torqueprune.tensor import ShapeError, Tensor, backward, group_norms, sum_all
+
+from oracles import coupled_slices, group_l2_norm
 
 
 def dense_layer(weight, bias=None):
@@ -49,7 +48,11 @@ def test_build_is_seed_deterministic():
 
 
 def test_parse_arch_errors():
-    for bad in ["mlp:2", "mlp:a-b", "cnn:3x32x32", "cnn:3x32x32:foo9", "resnet:50", "cnn:3x32x32:pool-dense2"]:
+    for bad in [
+        "mlp:2", "mlp:a-b", "cnn:3x32x32", "cnn:3x32x32:foo9", "resnet:50", "cnn:3x32x32:pool-dense2",
+        "cnn:1x4x4:conv2k0-dense2", "cnn:1x4x4:conv0k3s1p1-dense2", "cnn:0x4x4:conv2k3s1p1-dense2",
+        "cnn:1x0x4:dense2", "cnn:1x4x4:dense0-dense2", "cnn:1x4x4:conv2k3s1p1-pool-pool-dense2",
+    ]:
         with pytest.raises(ConstructionError):
             parse_arch(bad)
 
@@ -135,7 +138,7 @@ def test_norms_squared_sum_to_frobenius():
     w = rng.uniform(-1, 1, (6, 4))
     b = rng.uniform(-1, 1, 6)
     layer = dense_layer(w, bias=b)
-    norms = layer_group_norms(layer).data
+    norms = group_norms(layer.weight, layer.bias).data
     frob_sq = float((w * w).sum() + (b * b).sum())
     assert abs((norms**2).sum() - frob_sq) <= 1e-9
 
@@ -143,7 +146,7 @@ def test_norms_squared_sum_to_frobenius():
 def test_group_norm_values_matches_op():
     model = build_model("cnn:1x6x6:conv4k3s1p1-dense3", seed=1)
     for layer, vals in zip(model.layers, group_norm_values(model)):
-        assert np.allclose(vals, layer_group_norms(layer).data)
+        assert np.allclose(vals, group_norms(layer.weight, layer.bias).data)
         assert np.allclose(vals, [group_l2_norm(layer, i).item() for i in range(layer.group_count)])
 
 

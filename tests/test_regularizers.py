@@ -8,13 +8,14 @@ from torqueprune.regularizers import (
     BETA_GRID,
     RegularizerSpec,
     distance_weight,
-    heaviside_reference_penalty,
     model_penalty,
     penalty,
     resolve_exp_base,
     total_loss,
 )
-from torqueprune.tensor import ContractError, Tensor, backward, finite_diff_grad, softmax_cross_entropy
+from torqueprune.tensor import ContractError, Tensor, backward, softmax_cross_entropy
+
+from oracles import finite_diff_grad, heaviside_reference_penalty
 
 
 def layer_with_norms(norms):
@@ -154,7 +155,7 @@ def test_total_loss_zero_coefficient_is_identity():
     logits = forward(model, Tensor(np.random.default_rng(0).uniform(-1, 1, (4, 2))))
     task = softmax_cross_entropy(logits, [0, 1, 0, 1])
     spec = RegularizerSpec(scheme="exponential_etp", reg_coefficient=0.0, exp_base=2.0)
-    assert total_loss(task, spec, model, idxs) is task
+    assert total_loss(task, spec, model_penalty(spec, model, idxs)) is task
 
 
 def test_total_loss_arithmetic():
@@ -165,7 +166,7 @@ def test_total_loss_arithmetic():
     model.layers[0].bias.data[:] = 0.0
     model.layers[1].weight.data[:] = 0.0
     model.layers[1].bias.data[:] = 0.0
-    out = total_loss(task, spec, model, model_indexings(model))
+    out = total_loss(task, spec, model_penalty(spec, model, model_indexings(model)))
     assert out.item() == pytest.approx(1.017, abs=1e-12)
 
 
@@ -182,7 +183,7 @@ def test_total_loss_gradient_is_task_grad_plus_weighted_direction():
     task_gw = model.layers[0].weight.grad.copy()
 
     model.zero_grad()
-    backward(total_loss(softmax_cross_entropy(forward(model, x), labels), spec, model, idxs))
+    backward(total_loss(softmax_cross_entropy(forward(model, x), labels), spec, model_penalty(spec, model, idxs)))
     total_gw = model.layers[0].weight.grad.copy()
 
     layer = model.layers[0]
@@ -202,7 +203,7 @@ def test_total_loss_matches_finite_differences(scheme):
     labels = [0, 1, 2, 1, 0]
 
     def build_loss():
-        return total_loss(softmax_cross_entropy(forward(model, x), labels), spec, model, idxs)
+        return total_loss(softmax_cross_entropy(forward(model, x), labels), spec, model_penalty(spec, model, idxs))
 
     model.zero_grad()
     backward(build_loss())
