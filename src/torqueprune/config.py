@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .optim import OPTIMIZER_KINDS, SCHEDULE_KINDS
 from .regularizers import SCHEMES
 
@@ -154,6 +156,10 @@ def load_config(path) -> TrainConfig:
 def validate_config(cfg: TrainConfig) -> None:
     if not cfg.arch:
         raise ConfigError("missing required config key 'arch'")
+    for key in sorted(_FLOAT_KEYS | {"exp_base", "betas"}):
+        value = getattr(cfg, key)
+        if value is not None and not np.isfinite(value).all():
+            raise ConfigError(f"config key {key!r}: must be finite, got {value}")
     if not cfg.dataset:
         raise ConfigError("missing required config key 'dataset'")
     if cfg.epochs < 1:

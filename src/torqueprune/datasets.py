@@ -139,11 +139,15 @@ def load_csv_dataset(path, task, size=None, seed=0) -> Dataset:
         raise ConfigError(f"malformed dataset csv {path!r}: {exc}") from None
     if raw.shape[1] < 2:
         raise ConfigError(f"dataset csv {path!r} needs >= 2 columns (features, label)")
+    if not np.isfinite(raw).all():
+        raise ConfigError(f"dataset csv {path!r} has a non-finite value (nan or inf)")
     x, y = raw[:, :-1], raw[:, -1]
     if task == "classification":
         labels = y.astype(np.int64)
         if not np.array_equal(labels.astype(np.float64), y):
             raise ConfigError(f"dataset csv {path!r} has non-integer labels for a classification task")
+        if labels.size and labels.min() < 0:
+            raise ConfigError(f"dataset csv {path!r} has a negative label ({int(labels.min())})")
         y = labels
         n_classes = int(y.max()) + 1 if y.size else 0
     else:

@@ -346,8 +346,7 @@ def write_summary_csv(path, cfg: TrainConfig, rows, extra_columns=()) -> None:
 
 def save_checkpoint(path, model: ModelGraph) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model.to_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(model.to_dict()) + "\n")
 
 
 def load_checkpoint(path) -> ModelGraph:
@@ -368,8 +367,7 @@ def save_plan(path, plan) -> None:
         "removals": [list(r) for r in plan.removals],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(record, fh)
-        fh.write("\n")
+        fh.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Every scheme charges each group its L2 norm times a weight that depends on
 the group's distance from the layer pivot:
 
 * ``linear_torque``    weight(d) = d                (pivot pays nothing)
-* ``heaviside``        weight(d) = force * [d >= threshold]   (reference only)
+* ``heaviside``        weight(d) = force * [d >= threshold]   (step at the threshold)
 * ``exponential_etp``  weight(d) = base ** d        (pivot pays weight 1)
 * ``l1``               weight(d) = 1                (plain group lasso)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -269,22 +268,35 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
         )
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    # windows: [N, C, H_out, W_out, K, K]
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride, :, :]
-    out = np.einsum("ncijab,ocab->noij", win, kernel.data)
-    h_out, w_out = out.shape[2], out.shape[3]
+    h_out = (h + 2 * padding - k) // stride + 1
+    w_out = (w + 2 * padding - k) // stride + 1
+
+    # One matmul per kernel tap (a, b) over the strided input slice that tap
+    # sees, so no [N, C, H_out, W_out, K, K] window or im2col matrix is built.
+    def tap(a: int, b: int) -> tuple:
+        return np.s_[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride]
+
+    def tap_input(a: int, b: int) -> np.ndarray:
+        return xp[tap(a, b)].reshape(n_, c, h_out * w_out)
+
+    out = np.zeros((n_, o, h_out * w_out))
+    for a in range(k):
+        for b in range(k):
+            out += kernel.data[:, :, a, b] @ tap_input(a, b)
+    out = out.reshape(n_, o, h_out, w_out)
 
     def bwd(g):
-        gk = np.einsum("noij,ncijab->ocab", g, win) if kernel.requires_grad else None
+        g = g.reshape(n_, o, h_out * w_out)
+        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for a in range(k):
+            for b in range(k):
+                if gk is not None:
+                    gk[:, :, a, b] = (g @ tap_input(a, b).transpose(0, 2, 1)).sum(axis=0)
+                if gxp is not None:
+                    gxp[tap(a, b)] += (kernel.data[:, :, a, b].T @ g).reshape(n_, c, h_out, w_out)
         gx = None
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            contrib = np.einsum("noij,ocab->ncijab", g, kernel.data)
-            for a in range(k):
-                for b in range(k):
-                    gxp[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride] += contrib[
-                        :, :, :, :, a, b
-                    ]
+        if gxp is not None:
             gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
         return gx, gk
 

@@ -2,13 +2,14 @@
 
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
-heaviside penalty, successor slices) the slow and obvious way, so tests can
-hold the fast path to it.
+heaviside penalty, successor slices, convolution) the slow and obvious way,
+so tests can hold the fast path to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph
 from torqueprune.tensor import NORM_EPS, ContractError, Tensor, _from_op, group_norm_array
@@ -106,3 +107,29 @@ def coupled_slices(model: ModelGraph, layer: int, group: int) -> list[tuple[int,
         cols = tuple(range(group * coupling.block, (group + 1) * coupling.block))
         return [(layer + 1, cols)]
     return [(layer + 1, (group,))]
+
+
+def conv2d_reference(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """``conv2d`` as one einsum over a [N, C, H_out, W_out, K, K] window view.
+
+    Forward and both gradients contract the full window tensor, so the
+    summation order differs from the package's per-tap matmuls; results agree
+    to rounding.  Inputs are assumed valid (the package checks them).
+    """
+    _, _, h, w = x.shape
+    k = kernel.shape[2]
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride, :, :]
+    out = np.einsum("ncijab,ocab->noij", win, kernel.data)
+    h_out, w_out = out.shape[2], out.shape[3]
+
+    def bwd(g):
+        gk = np.einsum("noij,ncijab->ocab", g, win)
+        gxp = np.zeros_like(xp)
+        contrib = np.einsum("noij,ocab->ncijab", g, kernel.data)
+        for a in range(k):
+            for b in range(k):
+                gxp[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride] += contrib[:, :, :, :, a, b]
+        return gxp[:, :, padding : padding + h, padding : padding + w], gk
+
+    return _from_op(out, (x, kernel), "conv2d_reference", bwd)

@@ -153,6 +153,45 @@ def test_finetune_of_a_pruned_head_narrower_than_class_count_exit_1(tmp_path, ca
     assert row.endswith("failed:ConfigError")
 
 
+@pytest.mark.parametrize(
+    "command,line",
+    [
+        ("pipeline", "prune_threshold = nan"),
+        ("train", "reg_coefficient = nan"),
+        ("train", "exp_base = inf"),
+        ("train", "betas = 0.9,nan"),
+    ],
+    ids=["prune_threshold", "reg_coefficient", "exp_base", "betas"],
+)
+def test_nonfinite_config_value_exit_1(tmp_path, capsys, command, line):
+    key = line.split(" = ")[0]
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TOY.replace(f"{key} =", "# ") + line + f"\nout_dir = {tmp_path}/nan\n")
+    assert main([command, str(cfg)]) == 1
+    assert f"config key '{key}': must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
+
+
+@pytest.mark.parametrize(
+    "column,value,message",
+    [(-1, -1.0, "negative label (-1)"), (0, np.nan, "non-finite value")],
+    ids=["negative_label", "nan_feature"],
+)
+def test_bad_csv_value_exit_1(tmp_path, capsys, column, value, message):
+    rng = np.random.default_rng(0)
+    data = np.column_stack([rng.uniform(-1, 1, (50, 2)), np.arange(50) % 2])
+    data[7, column] = value
+    csv = tmp_path / "data.csv"
+    np.savetxt(csv, data, delimiter=",")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"arch = mlp:2-4-2\ndataset = csv:{csv}\nepochs = 1\nout_dir = {tmp_path}/csv\n")
+    assert main(["train", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
+    out_row = (tmp_path / "csv" / "sweep.csv").read_text().splitlines()[-1]
+    assert out_row.endswith("failed:ConfigError")
+
+
 def _truncate(part):
     def mutate(record):
         record["layers"][0][part]["data"] = record["layers"][0][part]["data"][:-1]

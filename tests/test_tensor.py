@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from torqueprune.tensor import (
     weighted_sum,
 )
 
-from oracles import finite_diff_grad, l2_norm, take_axis0
+from oracles import conv2d_reference, finite_diff_grad, l2_norm, take_axis0
 
 
 def t(data, rg=False):
@@ -93,6 +94,63 @@ def test_conv2d_padding_and_output_shape():
     k = t(np.ones((8, 3, 3, 3)))
     out = conv2d(x, k, stride=1, padding=1)
     assert out.shape == (1, 8, 32, 32)
+
+
+# (N, C, H, W, O, K, stride, padding): every stride 1-3, padding 0-2 and
+# kernel 1-3, a non-square input, and spans (H + 2p - K) the stride does not
+# divide, so the last rows and columns of the padded input are never read.
+CONV_CASES = [
+    (2, 3, 6, 6, 4, 3, 1, 0),
+    (2, 3, 7, 7, 4, 3, 2, 1),
+    (2, 2, 8, 5, 3, 2, 3, 2),
+    (3, 4, 5, 5, 2, 1, 1, 0),
+    (2, 2, 5, 7, 3, 1, 2, 1),
+    (2, 3, 9, 6, 5, 3, 2, 2),
+    (1, 1, 4, 4, 1, 3, 3, 1),
+    (2, 3, 4, 6, 2, 2, 1, 1),
+]
+
+
+@pytest.mark.parametrize("n,c,h,w,o,k,stride,padding", CONV_CASES)
+def test_conv2d_matches_einsum_reference(n, c, h, w, o, k, stride, padding):
+    rng = np.random.default_rng(n * 1000 + h * 10 + k)
+    x_data = rng.uniform(-1, 1, (n, c, h, w))
+    k_data = rng.uniform(-1, 1, (o, c, k, k))
+    results = []
+    for op in (conv2d, conv2d_reference):
+        x, kern = t(x_data, rg=True), t(k_data, rg=True)
+        out = op(x, kern, stride=stride, padding=padding)
+        upstream = np.random.default_rng(7).uniform(-1, 1, out.shape)
+        backward(weighted_sum(out, upstream))
+        results.append((out.data, x.grad, kern.grad))
+    assert results[0][0].shape == (n, o, (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1)
+    for got, want in zip(*results):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x_shape,k_shape", [((320, 3, 16, 16), (8, 3, 3, 3)), ((320, 8, 8, 8), (16, 8, 3, 3))], ids=["stage1", "stage2"]
+)
+def test_conv2d_forward_builds_no_window_buffer(x_shape, k_shape):
+    """Peak forward memory stays within 3 outputs plus the padded input.
+
+    An im2col matrix of [N*H_out*W_out, C*K*K] rows would exceed it on both shapes.
+    """
+    rng = np.random.default_rng(0)
+    x = t(rng.uniform(-1, 1, x_shape), rg=True)
+    kern = t(rng.uniform(-1, 1, k_shape), rg=True)
+    n, c, h, w = x_shape
+    out_bytes = n * k_shape[0] * h * w * 8
+    padded_bytes = n * c * (h + 2) * (w + 2) * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = conv2d(x, kern, stride=1, padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, k_shape[0], h, w)
+    assert peak <= 3 * out_bytes + padded_bytes
 
 
 # ---------------------------------------------------------------- relu
@@ -326,20 +384,23 @@ def test_gradcheck_matmul_chain(seed):
     assert _rel_err(a.grad, fd_a.data) <= 1e-5
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_gradcheck_conv2d(seed):
+@pytest.mark.parametrize(
+    "seed,stride,padding", [(0, 2, 1), (1, 2, 1), (0, 1, 0), (0, 3, 2)], ids=["0", "1", "s1p0", "s3p2"]
+)
+def test_gradcheck_conv2d(seed, stride, padding):
     rng = np.random.default_rng(seed)
     x = t(rng.uniform(-1, 1, (2, 2, 5, 5)), rg=True)
     k = t(rng.uniform(-1, 1, (3, 2, 3, 3)), rg=True)
-    target = t(np.zeros((2, 3, 3, 3)))
+    out = conv2d(x, k, stride=stride, padding=padding)
+    target = t(np.zeros(out.shape))
 
-    backward(mse_loss(conv2d(x, k, stride=2, padding=1), target))
+    backward(mse_loss(out, target))
 
     def loss_k(v):
-        return mse_loss(conv2d(Tensor(x.data), Tensor(v.data), stride=2, padding=1), target)
+        return mse_loss(conv2d(Tensor(x.data), Tensor(v.data), stride=stride, padding=padding), target)
 
     def loss_x(v):
-        return mse_loss(conv2d(Tensor(v.data), Tensor(k.data), stride=2, padding=1), target)
+        return mse_loss(conv2d(Tensor(v.data), Tensor(k.data), stride=stride, padding=padding), target)
 
     assert _rel_err(k.grad, finite_diff_grad(loss_k, k).data) <= 1e-5
     assert _rel_err(x.grad, finite_diff_grad(loss_x, x).data) <= 1e-5
