@@ -22,7 +22,7 @@ from .datasets import Dataset, gen_dataset, load_csv_dataset
 from .model import ModelGraph, build_model, forward, group_norm_values, model_indexings
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
-from .regularizers import RegularizerSpec, model_penalty, total_loss
+from .regularizers import RegularizerSpec, model_penalty, penalty_weights, total_loss, weighted_penalty
 from .tensor import Tensor, backward, mse_loss, softmax_cross_entropy
 
 SUMMARY_COLUMNS = (
@@ -145,19 +145,12 @@ def _check_dims(model: ModelGraph, dataset: Dataset) -> None:
 
 def norms_snapshot(model: ModelGraph, indexings, epoch: int) -> dict:
     groups = []
-    all_norms = group_norm_values(model)
-    for l, (layer, idx) in enumerate(zip(model.layers, indexings)):
-        norms = all_norms[l]
-        for g in range(layer.group_count):
-            groups.append(
-                {
-                    "layer": l,
-                    "group": g,
-                    "index": int(idx.assigned_indices[g]),
-                    "distance": int(idx.distance(g)),
-                    "norm": float(norms[g]),
-                }
-            )
+    for l, (norms, idx) in enumerate(zip(group_norm_values(model), indexings)):
+        rows = zip(idx.assigned_indices.tolist(), idx.distances.tolist(), norms.tolist())
+        groups.extend(
+            {"layer": l, "group": g, "index": index, "distance": distance, "norm": norm}
+            for g, (index, distance, norm) in enumerate(rows)
+        )
     return {"epoch": epoch, "groups": groups}
 
 
@@ -176,10 +169,11 @@ def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float,
 def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
     """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
 
-    Each step builds its penalty once, inside the loss graph, and logs that
-    tensor's value.  ``forward``, the losses and ``backward`` are looked up in
-    this module when each step runs, so hooks installed on the module from
-    outside see every step.
+    Each step builds its penalty once, inside the loss graph, from distance
+    weights computed once per run, and logs that tensor's value.
+    ``forward``, the losses and ``backward`` are looked up in this module
+    when each step runs, so hooks installed on the module from outside see
+    every step.
     """
     opt = Optimizer(
         model.parameters(),
@@ -192,6 +186,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     n = dataset.train_x.shape[0]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
+    weights = penalty_weights(spec, model, indexings, reg_layers)
     step = 0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -210,7 +205,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             correct += hits
             abs_sum += abs_err
             sq_sum += sq_err
-            pen = model_penalty(spec, model, indexings, reg_layers)
+            pen = weighted_penalty(model, weights)
             loss = total_loss(task, spec, pen)
             value = loss.item()
             if not np.isfinite(value):

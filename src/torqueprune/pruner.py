@@ -121,10 +121,19 @@ def accuracy_drop(base_metric: float, pruned_metric: float) -> float:
 # planning
 
 
+def _planned_layers(model: ModelGraph) -> int:
+    """How many leading layers a plan may take groups from.
+
+    The output layer's groups are the model's outputs (class logits,
+    regression targets), so they stay, unless the model has no other layer.
+    """
+    return max(len(model.layers) - 1, 1)
+
+
 def _threshold_removals(model: ModelGraph, norms, tau: float):
-    """Groups with norm strictly below tau, never emptying a layer."""
+    """Groups outside the output layer with norm strictly below tau, never emptying a layer."""
     removals = []
-    for l, layer_norms in enumerate(norms):
+    for l, layer_norms in enumerate(norms[: _planned_layers(model)]):
         below = [i for i, v in enumerate(layer_norms) if v < tau]
         if len(below) == len(layer_norms):
             # keep the single largest-norm group; ties keep the highest index,
@@ -136,7 +145,7 @@ def _threshold_removals(model: ModelGraph, norms, tau: float):
 
 
 def plan_by_threshold(model: ModelGraph, tau: float) -> PrunePlan:
-    """Plan removal of every group whose norm is strictly below ``tau``."""
+    """Plan removal of every group outside the output layer whose norm is strictly below ``tau``."""
     if tau < 0:
         raise ContractError(f"threshold must be non-negative, got {tau}")
     removals = _threshold_removals(model, group_norm_values(model), tau)
@@ -150,7 +159,8 @@ def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
 
     The removal set is a step function of the threshold, so searching the
     finite candidate set {0} + distinct norms + just-above-max is exact.
-    Every candidate is priced at once from its per-layer removal counts.
+    Every candidate is priced at once from its per-layer removal counts; the
+    output layer is not planned, as in ``plan_by_threshold``.
     """
     if target_speedup < 1.0:
         raise ContractError(f"target speed-up must be >= 1, got {target_speedup}")
@@ -161,6 +171,7 @@ def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
     removed = np.stack(
         [np.minimum(np.searchsorted(np.sort(v), candidates), len(v) - 1) for v in norms], axis=1
     )
+    removed[:, _planned_layers(model) :] = 0
     speedups = count_macs(model).total / _layer_macs(model, removed).sum(axis=1)
     hits = np.flatnonzero(speedups >= target_speedup)
     if hits.size == 0:
@@ -175,12 +186,15 @@ def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
 
 def _validate_plan(model: ModelGraph, plan: PrunePlan):
     seen = set()
+    planned = _planned_layers(model)
     kept = [layer.group_count for layer in model.layers]
     for l, g in plan.removals:
         if not 0 <= l < len(model.layers):
             raise ConstructionError(f"plan references layer {l}, model has {len(model.layers)}")
         if not 0 <= g < model.layers[l].group_count:
             raise ConstructionError(f"plan references group {g} of layer {l}, which has {model.layers[l].group_count}")
+        if l >= planned:
+            raise ConstructionError(f"plan removes output group ({l}, {g}); pruning must not change the model's outputs")
         if (l, g) in seen:
             raise ConstructionError(f"plan removes ({l}, {g}) twice")
         seen.add((l, g))

@@ -33,6 +33,8 @@ __all__ = [
     "distance_weight",
     "penalty",
     "model_penalty",
+    "penalty_weights",
+    "weighted_penalty",
     "total_loss",
 ]
 
@@ -116,13 +118,50 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
     return _scheme_weights(spec, indexing.distances.astype(np.float64), layer.group_count)
 
 
+def _layer_penalty(layer: GroupedLayer, weights: np.ndarray) -> Tensor:
+    # looked up on ``model``, where the benchmark's op tracer wraps it
+    return weighted_sum(_model.group_norms(layer.weight, layer.bias), weights)
+
+
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:
     """Differentiable sum over groups of norm * distance_weight for one layer."""
     if spec.scheme == "none":
         return Tensor(0.0)
-    # looked up on ``model``, where the benchmark's op tracer wraps it
-    norms = _model.group_norms(layer.weight, layer.bias)
-    return weighted_sum(norms, _weights_for_layer(spec, layer, indexing))
+    return _layer_penalty(layer, _weights_for_layer(spec, layer, indexing))
+
+
+def penalty_weights(
+    spec: RegularizerSpec,
+    model: ModelGraph,
+    indexings: list[GroupIndexing],
+    layers: Sequence[int] | None = None,
+) -> list[tuple[int, np.ndarray]]:
+    """(layer index, distance weights) for each penalized layer.
+
+    The weights depend only on the spec and the indexings, so a training run
+    computes them once.  ``layers`` restricts the penalty to the given layer
+    indices (default: all); scheme ``none`` penalizes nothing.
+    """
+    if spec.scheme == "none":
+        return []
+    if len(indexings) != len(model.layers):
+        raise ContractError(f"need {len(model.layers)} indexings, got {len(indexings)}")
+    chosen = range(len(model.layers)) if layers is None else list(layers)
+    for idx in chosen:
+        if not 0 <= idx < len(model.layers):
+            raise ContractError(f"penalty layer index {idx} out of range")
+    return [(idx, _weights_for_layer(spec, model.layers[idx], indexings[idx])) for idx in chosen]
+
+
+def weighted_penalty(model: ModelGraph, weights: list[tuple[int, np.ndarray]]) -> Tensor:
+    """Sum of layer penalties for weights from ``penalty_weights``; 0 when there are none."""
+    if not weights:
+        return Tensor(0.0)
+    total = None
+    for idx, w in weights:
+        term = _layer_penalty(model.layers[idx], w)
+        total = term if total is None else add(total, term)
+    return total
 
 
 def model_penalty(
@@ -135,22 +174,7 @@ def model_penalty(
 
     ``layers`` restricts the sum to the given layer indices (default: all).
     """
-    if spec.scheme == "none":
-        return Tensor(0.0)
-    if len(indexings) != len(model.layers):
-        raise ContractError(f"need {len(model.layers)} indexings, got {len(indexings)}")
-    if layers is None:
-        layers = range(len(model.layers))
-    chosen = list(layers)
-    if not chosen:
-        return Tensor(0.0)
-    for idx in chosen:
-        if not 0 <= idx < len(model.layers):
-            raise ContractError(f"penalty layer index {idx} out of range")
-    total = penalty(spec, model.layers[chosen[0]], indexings[chosen[0]])
-    for idx in chosen[1:]:
-        total = add(total, penalty(spec, model.layers[idx], indexings[idx]))
-    return total
+    return weighted_penalty(model, penalty_weights(spec, model, indexings, layers))
 
 
 def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Tensor:

@@ -11,6 +11,7 @@ rtol 1e-5 are the correctness bar, and that is not reachable in float32.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +28,7 @@ __all__ = [
     "matmul",
     "transpose",
     "bias_add",
+    "linear",
     "relu",
     "reshape",
     "avg_pool2x2",
@@ -54,11 +56,12 @@ class Tensor:
 
     ``grad`` stays ``None`` until ``backward`` reaches the tensor; repeated
     backward passes accumulate into it until ``zero_grad``.  Tensors created
-    by operations remember their inputs (``_parents``) and the local
-    backward rule (``_bwd``); leaf tensors have neither.
+    by operations remember their inputs (``_parents``), the local backward
+    rule (``_bwd``) and their depth in the graph (``_rank``: 1 + the highest
+    parent rank); leaf tensors have no parents or rule and rank 0.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op", "_rank")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -68,6 +71,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], tuple] | None = None
         self._op = "leaf"
+        self._rank = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,8 +91,10 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros + g (-0.0 becomes +0.0) without a zeros buffer
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -101,6 +107,7 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], op: str, bwd) -> Tenso
         out._parents = tuple(parents)
         out._bwd = bwd
         out._op = op
+        out._rank = 1 + max(p._rank for p in parents)
     return out
 
 
@@ -178,6 +185,31 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _from_op(x.data + b.data.reshape(bshape), (x, b), "bias_add", bwd)
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Dense layer x @ weight.T + bias as one node; ``weight`` is [out, in].
+
+    Forward and gradients use the numpy calls of ``bias_add(matmul(x,
+    transpose(weight)), bias)``, so the results keep their bits.
+    """
+    if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear: input {x.shape} does not fit weight {weight.shape}")
+    if bias is not None and bias.shape != (weight.shape[0],):
+        raise ShapeError(f"linear: bias {bias.shape} does not fit weight {weight.shape}")
+    out = x.data @ weight.data.T
+    if bias is not None:
+        out += bias.data
+
+    def bwd(g):
+        gx = g @ weight.data if x.requires_grad else None
+        gw = (x.data.T @ g).T if weight.requires_grad else None
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=0) if bias.requires_grad else None
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _from_op(out, parents, "linear", bwd)
+
+
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
@@ -190,9 +222,13 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); subgradient 0 at exactly 0."""
-    mask = x.data > 0
-    return _from_op(np.where(mask, x.data, 0.0), (x,), "relu", lambda g: (g * mask,))
+    """Elementwise max(0, x); subgradient 0 at exactly 0.
+
+    NaN maps to 0 and -0.0 to +0.0, as with ``np.where(x > 0, x, 0.0)``.
+    """
+    out = np.fmax(x.data, 0.0)
+    out += 0.0  # fmax(-0.0, 0.0) may be -0.0
+    return _from_op(out, (x,), "relu", lambda g: (g * (x.data > 0),))
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -267,7 +303,10 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"{h + 2 * padding}x{w + 2 * padding}"
         )
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    xp = x.data
+    if padding:
+        xp = np.zeros((n_, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
 
@@ -310,12 +349,27 @@ def avg_pool2x2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2x2: spatial dims must be even, got {h}x{w}")
-    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    # Each 2x2 window [[x00, x01], [x10, x11]] is averaged with the bits of
+    # numpy's reshape-mean: it sums (x00 + x01) + (x10 + x11), or the four in
+    # turn when the pooled map is one column wide, and its sum turns an all
+    # -0.0 window into +0.0.
+    x00, x01, x10, x11 = (x.data[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    out = x00 + x01
+    if w == 2:
+        out += x10
+        out += x11
+    else:
+        out += x10 + x11
+    out += 0.0
+    out /= 4.0
 
     def bwd(g):
-        gx = np.empty((n, c, h // 2, 2, w // 2, 2))
-        gx[...] = (g / 4.0)[:, :, :, None, :, None]
-        return (gx.reshape(n, c, h, w),)
+        quarter = g / 4.0
+        gx = np.empty((n, c, h, w))
+        for i in (0, 1):
+            for j in (0, 1):
+                gx[:, :, i::2, j::2] = quarter
+        return (gx,)
 
     return _from_op(out, (x,), "avg_pool2x2", bwd)
 
@@ -369,30 +423,13 @@ def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # backward pass
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p._bwd is not None and id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
     """Populate .grad of every requires_grad leaf reachable from a scalar loss.
 
-    Leaf grads accumulate across calls; intermediate node grads are local to
-    each call, so running backward twice exactly doubles the leaf grads.
+    Op nodes run in decreasing ``_rank``, so every consumer of a node has
+    passed its gradient on before the node runs.  Leaf grads accumulate
+    across calls; intermediate node grads are local to each call, so running
+    backward twice exactly doubles the leaf grads.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -402,8 +439,17 @@ def backward(loss: Tensor) -> None:
             loss._accum(seed)
         return
 
+    nodes = [loss]
+    seen = {id(loss)}
+    for node in nodes:  # grows while it is walked
+        for p in node._parents:
+            if p._bwd is not None and id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    nodes.sort(key=attrgetter("_rank"), reverse=True)
+
     local: dict[int, np.ndarray] = {id(loss): seed}
-    for node in reversed(_topo_order(loss)):
+    for node in nodes:
         g = local.pop(id(node), None)
         if g is None:
             continue

@@ -2,8 +2,8 @@
 
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
-heaviside penalty, successor slices, convolution) the slow and obvious way,
-so tests can hold the fast path to it.
+heaviside penalty, successor slices, convolution, relu, pooling, the dense
+layer) the slow and obvious way, so tests can hold the fast path to it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph
-from torqueprune.tensor import NORM_EPS, ContractError, Tensor, _from_op, group_norm_array
+from torqueprune.tensor import (
+    NORM_EPS,
+    ContractError,
+    Tensor,
+    _from_op,
+    bias_add,
+    group_norm_array,
+    matmul,
+    transpose,
+)
 
 
 def finite_diff_grad(f, x: Tensor, h: float = 1e-4) -> Tensor:
@@ -133,3 +142,28 @@ def conv2d_reference(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 
         return gxp[:, :, padding : padding + h, padding : padding + w], gk
 
     return _from_op(out, (x, kernel), "conv2d_reference", bwd)
+
+
+def relu_reference(x: Tensor) -> Tensor:
+    """``relu`` as ``np.where(x > 0, x, 0.0)``, with the mask as its gradient."""
+    mask = x.data > 0
+    return _from_op(np.where(mask, x.data, 0.0), (x,), "relu_reference", lambda g: (g * mask,))
+
+
+def avg_pool_reference(x: Tensor) -> Tensor:
+    """``avg_pool2x2`` as a mean over the window axes of a [N, C, H/2, 2, W/2, 2] view."""
+    n, c, h, w = x.shape
+    out = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+    def bwd(g):
+        gx = np.empty((n, c, h // 2, 2, w // 2, 2))
+        gx[...] = (g / 4.0)[:, :, :, None, :, None]
+        return (gx.reshape(n, c, h, w),)
+
+    return _from_op(out, (x,), "avg_pool_reference", bwd)
+
+
+def dense_chain_reference(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """A dense layer as three nodes: ``bias_add(matmul(x, transpose(weight)), bias)``."""
+    out = matmul(x, transpose(weight))
+    return out if bias is None else bias_add(out, bias)

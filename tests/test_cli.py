@@ -138,19 +138,23 @@ def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
     assert row.endswith("failed:ConfigError")
 
 
-def test_finetune_of_a_pruned_head_narrower_than_class_count_exit_1(tmp_path, capsys):
-    # this budget plan removes a class logit, so the fine-tune cannot fit both spirals
+def test_budget_pipeline_keeps_every_class_logit(tmp_path):
+    # this budget plan used to remove a class logit, leaving a one-logit head
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(
         "arch = mlp:2-16-16-2\ndataset = two_spirals\ndataset_size = 200\nepochs = 5\n"
         "scheme = exponential_etp\nreg_coefficient = 1e-3\nprune_mode = budget\nprune_target = 4.0\n"
         "finetune_epochs = 2\n" + f"out_dir = {tmp_path}/narrow\n"
     )
-    assert main(["pipeline", str(cfg)]) == 1
-    assert "architecture has 1 outputs but dataset has 2 classes" in capsys.readouterr().err
+    assert main(["pipeline", str(cfg)]) == 0
+    plan = json.loads((tmp_path / "narrow" / "plan.json").read_text())
+    assert plan["predicted_speedup"] >= 4.0
+    assert plan["removals"] and all(layer < 2 for layer, _ in plan["removals"])
+    model = json.loads((tmp_path / "narrow" / "model_finetuned.json").read_text())
+    assert model["layers"][-1]["weight"]["shape"] == [2, 16 - sum(layer == 1 for layer, _ in plan["removals"])]
     assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
     row = (tmp_path / "narrow" / "sweep.csv").read_text().splitlines()[-1]
-    assert row.endswith("failed:ConfigError")
+    assert row.endswith(",ok")
 
 
 @pytest.mark.parametrize(

@@ -285,6 +285,26 @@ def test_pipeline_rerun_byte_identical(tmp_path):
     assert first == second
 
 
+def test_cnn_pipeline_runs_give_identical_bytes(tmp_path):
+    # conv, relu, pool and dense layers; the second pool sees a 2x2 map
+    rng = np.random.default_rng(4)
+    images = rng.uniform(0.0, 1.0, (48, 16))
+    labels = (images[:, :8].sum(axis=1) > images[:, 8:].sum(axis=1)).astype(int)
+    data = tmp_path / "images.csv"
+    data.write_text("".join(",".join(f"{v:.6f}" for v in row) + f",{y}\n" for row, y in zip(images, labels)))
+    text = (
+        f"arch = cnn:1x4x4:conv4k3s1p1-pool-conv3k3s1p1-pool-dense2\ndataset = csv:{data}\n"
+        "dataset_size = 36\nepochs = 4\nbatch_size = 8\nscheme = exponential_etp\nreg_coefficient = 1e-2\n"
+        "prune_mode = budget\nprune_target = 1.2\nfinetune_epochs = 1\n"
+    )
+    outputs = []
+    for run in ("a", "b"):
+        run_pipeline(parse_config(text + f"out_dir = {tmp_path / run}\n"))
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+    assert "model_finetuned.json" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 # ---------------------------------------------------------------- output formats
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from torqueprune.config import TrainConfig
+from torqueprune.harness import train
 from torqueprune.model import ConstructionError, build_model, forward, group_norm_values
 from torqueprune.pruner import (
     MacsReport,
@@ -98,8 +100,7 @@ def test_never_empty_rule_retains_largest():
     plan = plan_by_threshold(model, 10.0)
     removed0 = {g for l, g in plan.removals if l == 0}
     assert removed0 == {0, 2, 3}  # group 1 has the largest norm and survives
-    removed1 = {g for l, g in plan.removals if l == 1}
-    assert len(removed1) == 1  # output layer keeps one of its two groups
+    assert {l for l, _ in plan.removals} == {0}  # the output layer is never planned
 
 
 def test_never_empty_tie_keeps_highest_index():
@@ -205,6 +206,20 @@ def test_invalid_plans_rejected():
         apply_plan(model, empties)
 
 
+def test_output_groups_are_never_planned():
+    cfg = TrainConfig(
+        arch="mlp:2-16-16-2", dataset="two_spirals", dataset_size=200, epochs=5,
+        scheme="exponential_etp", reg_coefficient=1e-3,
+    )
+    model = train(cfg).model
+    for plan in (plan_by_budget(model, 4.0), plan_by_threshold(model, 10.0)):
+        assert plan.removals and {l for l, _ in plan.removals} <= {0, 1}
+        assert apply_plan(model, plan).layers[-1].group_count == 2
+    hand_made = PrunePlan(((0, 3), (2, 1)), "threshold", 0.0, 1.0)
+    with pytest.raises(ConstructionError, match="output group"):
+        apply_plan(model, hand_made)
+
+
 def test_apply_leaves_original_untouched():
     model = build_model("mlp:2-4-2", seed=0)
     before = [layer.weight.data.copy() for layer in model.layers]
@@ -218,17 +233,31 @@ def test_apply_leaves_original_untouched():
 # ---------------------------------------------------------------- budget plans
 
 
+def threshold_removals_oracle(model, tau):
+    """Every group strictly below tau outside the last layer, keeping each
+    layer's largest-norm group (the highest index among ties) if all fall."""
+    removals = []
+    for l, norms in enumerate(group_norm_values(model)[:-1]):
+        below = [i for i, v in enumerate(norms.tolist()) if v < tau]
+        if len(below) == len(norms):
+            below.remove(max(below, key=lambda i: (norms[i], i)))
+        removals += [(l, i) for i in below]
+    return tuple(removals)
+
+
 def brute_force_budget(model, target):
     """Oracle: try every distinct-norm threshold, realize each plan through
-    apply_plan + count_macs, keep the smallest speed-up >= target."""
+    apply_plan + count_macs, keep the smallest speed-up >= target.  The last
+    layer's groups are the model's outputs and are never removed."""
     norms = np.concatenate(group_norm_values(model))
     taus = sorted({0.0, *norms.tolist(), float(np.nextafter(norms.max(), np.inf))})
     base_total = count_macs(model).total
     feasible = []
     for tau in taus:
-        plan = plan_by_threshold(model, tau)
+        removals = threshold_removals_oracle(model, tau)
+        plan = PrunePlan(removals, "threshold", tau, 0.0)
         realized = base_total / count_macs(apply_plan(model, plan)).total
-        feasible.append((realized, tau, plan.removals))
+        feasible.append((realized, tau, removals))
     hits = [f for f in feasible if f[0] >= target]
     if not hits:
         return None, max(f[0] for f in feasible)

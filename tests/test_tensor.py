@@ -14,6 +14,7 @@ from torqueprune.tensor import (
     bias_add,
     conv2d,
     group_norms,
+    linear,
     matmul,
     mse_loss,
     mul,
@@ -26,7 +27,15 @@ from torqueprune.tensor import (
     weighted_sum,
 )
 
-from oracles import conv2d_reference, finite_diff_grad, l2_norm, take_axis0
+from oracles import (
+    avg_pool_reference,
+    conv2d_reference,
+    dense_chain_reference,
+    finite_diff_grad,
+    l2_norm,
+    relu_reference,
+    take_axis0,
+)
 
 
 def t(data, rg=False):
@@ -59,6 +68,107 @@ def test_matmul_backward_rules():
     g = np.ones((2, 2))
     assert np.allclose(a.grad, g @ b.data.T)
     assert np.allclose(b.grad, a.data.T @ g)
+
+
+# ---------------------------------------------------------------- linear
+
+
+def _dense_leaves(seed, with_bias):
+    rng = np.random.default_rng(seed)
+    x = t(rng.standard_normal((6, 5)), rg=True)
+    w = t(rng.standard_normal((4, 5)), rg=True)
+    b = t(rng.standard_normal(4), rg=True) if with_bias else None
+    return x, w, b
+
+
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+def test_linear_matches_dense_chain_bit_for_bit(with_bias):
+    coeffs = np.random.default_rng(9).standard_normal((6, 4))
+    fast = _dense_leaves(3, with_bias)
+    chain = _dense_leaves(3, with_bias)
+    out = linear(*fast)
+    ref = dense_chain_reference(*chain)
+    assert out.data.tobytes() == ref.data.tobytes()
+    backward(weighted_sum(out, coeffs))
+    backward(weighted_sum(ref, coeffs))
+    for leaf, ref_leaf in zip(fast, chain):
+        if leaf is not None:
+            assert leaf.grad.tobytes() == ref_leaf.grad.tobytes()
+
+
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no_bias"])
+def test_gradcheck_linear(with_bias):
+    x, w, b = _dense_leaves(5, with_bias)
+    target = t(np.zeros((6, 4)))
+    backward(mse_loss(linear(x, w, b), target))
+
+    def loss_with(xv, wv, bv):
+        return mse_loss(linear(Tensor(xv), Tensor(wv), None if bv is None else Tensor(bv)), target)
+
+    bias_data = None if b is None else b.data
+    assert _rel_err(x.grad, finite_diff_grad(lambda v: loss_with(v.data, w.data, bias_data), x).data) <= 1e-5
+    assert _rel_err(w.grad, finite_diff_grad(lambda v: loss_with(x.data, v.data, bias_data), w).data) <= 1e-5
+    if b is not None:
+        assert _rel_err(b.grad, finite_diff_grad(lambda v: loss_with(x.data, w.data, v.data), b).data) <= 1e-5
+
+
+def test_linear_shape_errors_name_the_shapes():
+    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
+        linear(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
+    with pytest.raises(ShapeError, match="bias"):
+        linear(t(np.zeros((2, 3))), t(np.zeros((4, 3))), t(np.zeros(3)))
+
+
+# ---------------------------------------------------------------- special values
+
+# NaN, signed zeros, infinities, subnormals and values near the overflow edge
+SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e308, -1e308])
+
+
+def _special_data(seed, shape):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(SPECIALS, size=int(pick.sum()))
+    x[..., :2, :2] = -0.0  # a whole pooling window of negative zeros
+    x.reshape(-1)[-3:] = -0.0  # where vectorized loops leave a scalar tail
+    return x
+
+
+def _assert_same_bits(a, b):
+    """Equal bit for bit, signed zeros included; any NaN matches any NaN."""
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7, 9), (2, 3, 6, 8), (16, 8, 16, 16)])
+def test_relu_matches_where_reference_bit_for_bit(shape):
+    data = _special_data(0, shape)
+    x, x_ref = t(data, rg=True), t(data, rg=True)
+    out, ref = relu(x), relu_reference(x_ref)
+    assert out.data.tobytes() == ref.data.tobytes()
+    coeffs = np.random.default_rng(1).standard_normal(shape)
+    with np.errstate(all="ignore"):
+        backward(weighted_sum(out, coeffs))
+        backward(weighted_sum(ref, coeffs))
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
+
+
+# one-column pooled maps (W = 2) take numpy's other summation order
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 2, 2), (3, 2, 6, 2), (4, 3, 16, 2), (2, 3, 4, 6), (2, 2, 2, 8), (8, 8, 16, 16), (8, 16, 8, 8)]
+)
+def test_avg_pool_matches_reshape_mean_bit_for_bit(shape):
+    data = _special_data(2, shape)
+    x, x_ref = t(data, rg=True), t(data, rg=True)
+    with np.errstate(all="ignore"):
+        out, ref = avg_pool2x2(x), avg_pool_reference(x_ref)
+        _assert_same_bits(out.data, ref.data)
+        coeffs = np.random.default_rng(3).standard_normal(out.shape)
+        backward(weighted_sum(out, coeffs))
+        backward(weighted_sum(ref, coeffs))
+    assert x.grad.tobytes() == x_ref.grad.tobytes()
 
 
 # ---------------------------------------------------------------- conv2d
@@ -255,6 +365,34 @@ def test_backward_deterministic_after_reset():
     g1 = run()
     g2 = run()
     assert np.array_equal(g1[0], g2[0]) and np.array_equal(g1[1], g2[1])
+
+
+def test_backward_leaf_grad_is_a_fresh_array_without_negative_zeros():
+    x = t([-1.0, 2.0], rg=True)
+    g = np.array([-0.0, 3.0])
+    x._accum(g)
+    assert not np.signbit(x.grad).any() and x.grad[1] == 3.0  # zeros + g, as before
+    x._accum(g)
+    assert np.array_equal(g, [-0.0, 3.0]) and np.array_equal(x.grad, [0.0, 6.0])
+
+
+def test_backward_node_with_three_consumers():
+    rng = np.random.default_rng(11)
+    x = t(rng.uniform(-1, 1, (3, 4)), rg=True)
+    w = t(rng.uniform(-1, 1, (4, 5)), rg=True)
+    coeffs = rng.uniform(-1, 1, (3, 5))
+
+    def loss_of(xv, wv):
+        h = matmul(xv, wv)  # read by mul (twice), weighted_sum and scale
+        return add(add(sum_all(mul(h, h)), weighted_sum(h, coeffs)), sum_all(scale(h, 0.5)))
+
+    loss = loss_of(x, w)
+    backward(loss)
+    gx, gw = x.grad.copy(), w.grad.copy()
+    assert _rel_err(gx, finite_diff_grad(lambda v: loss_of(Tensor(v.data), Tensor(w.data)), x).data) <= 1e-5
+    assert _rel_err(gw, finite_diff_grad(lambda v: loss_of(Tensor(x.data), Tensor(v.data)), w).data) <= 1e-5
+    backward(loss)
+    assert np.array_equal(x.grad, 2 * gx) and np.array_equal(w.grad, 2 * gw)
 
 
 def test_backward_shared_subexpression():
