@@ -19,13 +19,11 @@ from .datasets import Dataset, gen_dataset, load_csv_dataset
 from .harness import (
     MetricsRecord,
     NumericalAbort,
-    PipelineResult,
     TrainResult,
     dataset_for,
     evaluate,
     evaluate_dataset,
     make_plan,
-    penalized_layers,
     run_pipeline,
     summary_metric,
     sweep,
@@ -33,7 +31,6 @@ from .harness import (
 )
 from .model import (
     ConstructionError,
-    Coupling,
     GroupIndexing,
     GroupedLayer,
     ModelGraph,
@@ -82,7 +79,6 @@ __all__ = [
     "ConfigError",
     "ConstructionError",
     "ContractError",
-    "Coupling",
     "Dataset",
     "GroupIndexing",
     "GroupedLayer",
@@ -92,7 +88,6 @@ __all__ = [
     "ModelGraph",
     "NumericalAbort",
     "Optimizer",
-    "PipelineResult",
     "PrunePlan",
     "RegularizerSpec",
     "SCHEMES",

@@ -350,7 +350,7 @@ def load_checkpoint(path) -> ModelGraph:
             return ModelGraph.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"malformed checkpoint {path!r}: {exc}") from None
 
 

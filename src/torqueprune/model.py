@@ -34,7 +34,6 @@ __all__ = [
     "parse_arch",
     "GroupedLayer",
     "GroupIndexing",
-    "Coupling",
     "ModelGraph",
     "build_model",
     "assign_indexing",
@@ -184,29 +183,19 @@ class GroupIndexing:
 
 
 @dataclass
-class Coupling:
-    """How an output group of layer l maps onto input slices of layer l+1.
-
-    ``block`` is the number of dense columns fed by one conv channel when the
-    successor is dense after a flatten (channel-major layout, so channel i
-    owns columns [i*block, (i+1)*block)).
-    """
-
-    kind: str  # dense_to_dense | conv_to_conv | conv_to_dense
-    block: int = 1
-
-
-@dataclass
 class ModelGraph:
     layers: list[GroupedLayer]
     activations: list[str]  # applied after each layer: "relu" | "none"
     pools: list[bool]  # 2x2 average pool after the activation
     input_shape: tuple[int, ...]
-    couplings: list[Coupling] = field(init=False)
+    # couplings[l]: how many inputs of layer l+1 one group of layer l feeds:
+    # H*W when a conv feeds a dense layer (the flatten is channel-major, so
+    # channel i owns columns [i*H*W, (i+1)*H*W)), else 1
+    couplings: list[int] = field(init=False)
 
     def __post_init__(self):
         self.validate()
-        self.couplings = derive_couplings(self)
+        self.couplings = [b.in_size // a.group_count for a, b in zip(self.layers, self.layers[1:])]
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -235,6 +224,8 @@ class ModelGraph:
                 raise ConstructionError(f"layer {i} ({layer.kind}) has a weight of shape {layer.weight.shape}")
             if act not in ("relu", "none"):
                 raise ConstructionError(f"layer {i} has unknown activation {act!r}")
+            if type(pool) is not bool:
+                raise ConstructionError(f"layer {i} pool must be true or false, got {pool!r:.60}")
             if pool and layer.kind != "conv2d":
                 raise ConstructionError(f"layer {i} ({layer.kind}) cannot pool; only conv layers do")
             if layer.bias is not None and layer.bias.shape != (layer.group_count,):
@@ -263,20 +254,33 @@ class ModelGraph:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelGraph":
+        if not isinstance(d, dict):
+            raise ConstructionError(f"a checkpoint is a JSON object, not {type(d).__name__}")
         if d.get("format") != "torqueprune-model-v1":
             raise ConstructionError(f"unsupported checkpoint format {d.get('format')!r}")
         layers, acts, pools = [], [], []
-        for entry in d["layers"]:
-            w = entry["weight"]
-            weight = Tensor(np.asarray(w["data"], dtype=np.float64).reshape(w["shape"]), requires_grad=True)
-            bias = None
-            if entry["bias"] is not None:
-                b = entry["bias"]
-                bias = Tensor(np.asarray(b["data"], dtype=np.float64).reshape(b["shape"]), requires_grad=True)
-            layers.append(GroupedLayer(entry["kind"], weight, bias, entry["stride"], entry["padding"]))
+        for i, entry in enumerate(d["layers"]):
+            weight = _checkpoint_tensor(entry["weight"], f"layer {i} weight")
+            bias = None if entry["bias"] is None else _checkpoint_tensor(entry["bias"], f"layer {i} bias")
+            stride, padding = _checkpoint_ints([entry["stride"], entry["padding"]], f"layer {i} stride and padding")
+            layers.append(GroupedLayer(entry["kind"], weight, bias, stride, padding))
             acts.append(entry["activation"])
             pools.append(entry["pool"])
-        return cls(layers, acts, pools, tuple(d["input_shape"]))
+        return cls(layers, acts, pools, tuple(_checkpoint_ints(d["input_shape"], "input_shape")))
+
+
+def _checkpoint_ints(values, what: str) -> list:
+    """``values`` if it is a list of non-negative integers; JSON floats (2.0) and booleans are not."""
+    if not isinstance(values, list) or not all(type(v) is int and v >= 0 for v in values):
+        raise ConstructionError(f"checkpoint {what} must be non-negative integers, got {values!r:.60}")
+    return values
+
+
+def _checkpoint_tensor(part: dict, what: str) -> Tensor:
+    data = np.asarray(part["data"], dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise ConstructionError(f"checkpoint {what} holds non-finite values")
+    return Tensor(data.reshape(_checkpoint_ints(part["shape"], f"{what} shape")), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -323,23 +327,6 @@ def layer_output_shapes(model: ModelGraph) -> list[tuple[int, ...]]:
         shape = _layer_out_shape(shape, layer, pool)
         out.append(shape)
     return out
-
-
-def derive_couplings(model: ModelGraph) -> list[Coupling]:
-    shapes = layer_output_shapes(model)
-    couplings = []
-    for l in range(len(model.layers) - 1):
-        a, b = model.layers[l], model.layers[l + 1]
-        if a.kind == "conv2d" and b.kind == "conv2d":
-            couplings.append(Coupling("conv_to_conv"))
-        elif a.kind == "conv2d" and b.kind == "dense":
-            _, h, w = shapes[l]
-            couplings.append(Coupling("conv_to_dense", block=h * w))
-        elif a.kind == "dense" and b.kind == "dense":
-            couplings.append(Coupling("dense_to_dense"))
-        else:
-            raise ConstructionError(f"unsupported layer order: {a.kind} before {b.kind}")
-    return couplings
 
 
 def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:

@@ -76,8 +76,8 @@ def _layer_macs(model: ModelGraph, removed: np.ndarray) -> np.ndarray:
     """Per-layer MACs for a single input instance, after removing groups.
 
     ``removed[..., l]`` is the number of groups taken out of layer l; one row
-    per candidate plan.  Each removal also takes ``block`` inputs out of the
-    next layer, so MACs_l = (G_l - r_l) * (I_l - r_{l-1} * block_{l-1}) * pair_l,
+    per candidate plan.  Each removal from layer l also takes ``couplings[l]``
+    inputs out of layer l+1, so MACs_l = (G_l - r_l) * (I_l - r_{l-1} * couplings[l-1]) * pair_l,
     where one (output, input) pair costs 1 MAC in a dense layer and
     K^2 * H_out * W_out in a conv.  Biases, activations and pooling are excluded.
     """
@@ -91,7 +91,7 @@ def _layer_macs(model: ModelGraph, removed: np.ndarray) -> np.ndarray:
     groups = np.array([layer.group_count for layer in model.layers])
     inputs = np.array([layer.in_size for layer in model.layers])
     lost_inputs = np.zeros_like(removed)
-    lost_inputs[..., 1:] = removed[..., :-1] * np.array([c.block for c in model.couplings], dtype=np.int64)
+    lost_inputs[..., 1:] = removed[..., :-1] * np.array(model.couplings, dtype=np.int64)
     return (groups - removed) * (inputs - lost_inputs) * np.array(pair)
 
 
@@ -134,14 +134,13 @@ def _threshold_removals(model: ModelGraph, norms, tau: float):
     """Groups outside the output layer with norm strictly below tau, never emptying a layer."""
     removals = []
     for l, layer_norms in enumerate(norms[: _planned_layers(model)]):
-        below = [i for i, v in enumerate(layer_norms) if v < tau]
-        if len(below) == len(layer_norms):
+        below = layer_norms < tau
+        if below.all():
             # keep the single largest-norm group; ties keep the highest index,
             # matching "lower index pruned first"
-            keep = max(range(len(layer_norms)), key=lambda i: (layer_norms[i], i))
-            below = [i for i in below if i != keep]
-        removals.extend((l, i) for i in below)
-    return tuple(sorted(removals))
+            below[len(layer_norms) - 1 - np.argmax(layer_norms[::-1])] = False
+        removals.extend((l, int(i)) for i in np.flatnonzero(below))
+    return tuple(removals)
 
 
 def plan_by_threshold(model: ModelGraph, tau: float) -> PrunePlan:
@@ -184,10 +183,10 @@ def plan_by_budget(model: ModelGraph, target_speedup: float) -> PrunePlan:
 # application
 
 
-def _validate_plan(model: ModelGraph, plan: PrunePlan):
-    seen = set()
+def _keep_masks(model: ModelGraph, plan: PrunePlan) -> list[np.ndarray]:
+    """One boolean mask per layer, True for the groups the plan keeps."""
+    keep = [np.ones(layer.group_count, dtype=bool) for layer in model.layers]
     planned = _planned_layers(model)
-    kept = [layer.group_count for layer in model.layers]
     for l, g in plan.removals:
         if not 0 <= l < len(model.layers):
             raise ConstructionError(f"plan references layer {l}, model has {len(model.layers)}")
@@ -195,46 +194,26 @@ def _validate_plan(model: ModelGraph, plan: PrunePlan):
             raise ConstructionError(f"plan references group {g} of layer {l}, which has {model.layers[l].group_count}")
         if l >= planned:
             raise ConstructionError(f"plan removes output group ({l}, {g}); pruning must not change the model's outputs")
-        if (l, g) in seen:
+        if not keep[l][g]:
             raise ConstructionError(f"plan removes ({l}, {g}) twice")
-        seen.add((l, g))
-        kept[l] -= 1
-    for l, n in enumerate(kept):
-        if n < 1:
+        keep[l][g] = False
+    for l, mask in enumerate(keep):
+        if not mask.any():
             raise ConstructionError(f"plan would empty layer {l}")
+    return keep
 
 
 def apply_plan(model: ModelGraph, plan: PrunePlan) -> ModelGraph:
     """Return a new, smaller model; the input model is left untouched."""
-    _validate_plan(model, plan)
-    removed = [set() for _ in model.layers]
-    for l, g in plan.removals:
-        removed[l].add(g)
-    survivors = [
-        [i for i in range(layer.group_count) if i not in removed[l]]
-        for l, layer in enumerate(model.layers)
-    ]
-
+    keep = _keep_masks(model, plan)
     new_layers = []
     for l, layer in enumerate(model.layers):
-        w = layer.weight.data[survivors[l]]
-        if l > 0 and removed[l - 1]:
-            coupling = model.couplings[l - 1]
-            if coupling.kind == "conv_to_dense":
-                cols = [
-                    c
-                    for i in survivors[l - 1]
-                    for c in range(i * coupling.block, (i + 1) * coupling.block)
-                ]
-                w = w[:, cols]
-            else:
-                w = w[:, survivors[l - 1]]
-        bias = None
-        if layer.bias is not None:
-            bias = Tensor(layer.bias.data[survivors[l]].copy(), requires_grad=True)
-        new_layers.append(
-            GroupedLayer(layer.kind, Tensor(w.copy(), requires_grad=True), bias, layer.stride, layer.padding)
-        )
+        # each removed group of layer l-1 takes couplings[l-1] inputs of layer l
+        # with it; selecting the rows last copies into a fresh C-ordered array
+        cols = np.repeat(keep[l - 1], model.couplings[l - 1]) if l else slice(None)
+        w = layer.weight.data[:, cols][keep[l]]
+        bias = None if layer.bias is None else Tensor(layer.bias.data[keep[l]], requires_grad=True)
+        new_layers.append(GroupedLayer(layer.kind, Tensor(w, requires_grad=True), bias, layer.stride, layer.padding))
 
     return ModelGraph(
         layers=new_layers,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph
+from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph, layer_output_shapes
 from torqueprune.tensor import (
     NORM_EPS,
     ContractError,
@@ -111,11 +111,11 @@ def coupled_slices(model: ModelGraph, layer: int, group: int) -> list[tuple[int,
         raise IndexError(f"group {group} out of range for layer {layer}")
     if layer == len(model.layers) - 1:
         return []
-    coupling = model.couplings[layer]
-    if coupling.kind == "conv_to_dense":
-        cols = tuple(range(group * coupling.block, (group + 1) * coupling.block))
-        return [(layer + 1, cols)]
-    return [(layer + 1, (group,))]
+    # one column per spatial position when a conv map is flattened into a
+    # dense layer (channel-major), else the group's own index
+    shape = layer_output_shapes(model)[layer]
+    block = int(np.prod(shape[1:])) if model.layers[layer + 1].kind == "dense" else 1
+    return [(layer + 1, tuple(range(group * block, (group + 1) * block)))]
 
 
 def conv2d_reference(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from torqueprune.cli import main
+from torqueprune.model import build_model
 
 TOY = """
 arch = mlp:2-16-2
@@ -221,7 +222,28 @@ def _unknown_kind(record):
     record["layers"][0]["kind"] = "lstm"
 
 
-# mutations of a trained mlp:2-16-2 checkpoint that `prune` must reject as malformed (exit 1)
+def _cnn_input_shape(shape):
+    def mutate(record):
+        record.clear()
+        record.update(build_model("cnn:1x6x6:conv4k3s1p1-dense2", seed=0).to_dict(), input_shape=shape)
+
+    return mutate
+
+
+def _dense_before_conv(record):
+    record["layers"][1]["kind"] = "conv2d"
+    record["layers"][1]["weight"]["shape"] = [2, 16, 1, 1]
+
+
+def _set_value(part, value):
+    def mutate(record):
+        record["layers"][0][part]["data"][3] = value
+
+    return mutate
+
+
+# mutations of a trained mlp:2-16-2 checkpoint that `prune` must reject as
+# malformed (exit 1); a mutation that returns a string replaces the file's text
 MALFORMED = {
     "weight": _truncate("weight"),
     "bias": _truncate("bias"),
@@ -231,6 +253,16 @@ MALFORMED = {
     "unknown_activation": lambda record: record["layers"][0].update(activation="tanh"),
     "unknown_kind": _unknown_kind,
     "dense_pool": lambda record: record["layers"][0].update(pool=True),
+    "top_level_list": lambda record: "[]",
+    "top_level_string": lambda record: '"x"',
+    "float_input_shape": _cnn_input_shape([1, 6.5, 6]),
+    "nan_weight": _set_value("weight", float("nan")),
+    "infinite_bias": _set_value("bias", float("inf")),
+    "bool_stride": lambda record: record["layers"][0].update(stride=True),
+    "int_pool": lambda record: record["layers"][0].update(pool=0),
+    "huge_int_weight": _set_value("weight", 10**400),
+    "deep_nesting": lambda record: "[" * 100000,
+    "dense_before_conv": _dense_before_conv,
 }
 
 
@@ -239,8 +271,8 @@ def test_malformed_checkpoint_exit_1(toy_cfg, tmp_path, capsys, case):
     main(["train", toy_cfg])
     ckpt = tmp_path / "out" / "model.json"
     record = json.loads(ckpt.read_text())
-    MALFORMED[case](record)
-    ckpt.write_text(json.dumps(record))
+    text = MALFORMED[case](record)
+    ckpt.write_text(json.dumps(record) if text is None else text)
     capsys.readouterr()
     assert main(["prune", toy_cfg, "--checkpoint", str(ckpt)]) == 1
     assert "malformed checkpoint" in capsys.readouterr().err

@@ -29,13 +29,12 @@ def test_build_mlp_group_counts():
     model = build_model("mlp:2-8-2", seed=0)
     assert [layer.group_count for layer in model.layers] == [8, 2]
     assert model.input_shape == (2,)
-    assert [c.kind for c in model.couplings] == ["dense_to_dense"]
+    assert model.couplings == [1]
 
 
 def test_build_cnn_flatten_mapping_is_channel_major():
     model = build_model("cnn:1x6x6:conv4k3s1p1-dense2", seed=0)
-    assert model.couplings[0].kind == "conv_to_dense"
-    assert model.couplings[0].block == 36  # 6x6 spatial, channel-major layout
+    assert model.couplings == [36]  # 6x6 spatial, channel-major layout
     assert model.layers[1].in_size == 4 * 36
 
 
@@ -160,7 +159,7 @@ def test_forward_identity_network():
         pools=[False, False],
         input_shape=(3,),
     )
-    assert [c.kind for c in eye.couplings] == ["dense_to_dense"]
+    assert eye.couplings == [1]
     x = np.random.default_rng(0).uniform(-1, 1, (5, 3))
     out = forward(eye, Tensor(x))
     assert np.allclose(out.data, x)
@@ -238,4 +237,4 @@ def test_checkpoint_roundtrip():
     clone = ModelGraph.from_dict(model.to_dict())
     x = Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 1, 6, 6)))
     assert np.array_equal(forward(model, x).data, forward(clone, x).data)
-    assert [c.block for c in clone.couplings] == [c.block for c in model.couplings]
+    assert clone.couplings == model.couplings

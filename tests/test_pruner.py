@@ -17,6 +17,8 @@ from torqueprune.pruner import (
 )
 from torqueprune.tensor import ContractError, Tensor
 
+from oracles import coupled_slices
+
 TOY_CNN = "cnn:3x32x32:conv8k3s1p1-dense10"
 
 
@@ -185,6 +187,29 @@ def test_conv_to_dense_zeroed_equivalence():
         assert np.max(np.abs(forward(model, x).data - forward(pruned, x).data)) <= 1e-6
 
 
+def test_pooled_conv_chain_removal_deletes_coupled_inputs():
+    # conv -> pool -> conv (channels) and conv -> pool -> flatten -> dense (2x2 blocks of columns)
+    model = build_model("cnn:2x8x8:conv4k3s1p1-pool-conv4k3s1p1-pool-dense5", seed=4)
+    zeroed = {0: [1, 3], 1: [0, 2]}
+    for l, groups in zeroed.items():
+        model.layers[l].weight.data[groups] = 0.0
+        model.layers[l].bias.data[groups] = 0.0
+    plan = plan_by_threshold(model, 1e-12)
+    assert plan.removals == tuple((l, g) for l, groups in zeroed.items() for g in groups)
+    pruned = apply_plan(model, plan)
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        x = Tensor(rng.uniform(-1, 1, (3, 2, 8, 8)))
+        assert np.max(np.abs(forward(model, x).data - forward(pruned, x).data)) <= 1e-6
+    for l, layer in enumerate(model.layers):
+        expected = np.delete(layer.weight.data, zeroed.get(l, []), axis=0)
+        if l > 0:
+            dead = [i for g in zeroed[l - 1] for _, inputs in coupled_slices(model, l - 1, g) for i in inputs]
+            expected = np.delete(expected, dead, axis=1)
+        assert np.array_equal(pruned.layers[l].weight.data, expected)
+        assert np.array_equal(pruned.layers[l].bias.data, np.delete(layer.bias.data, zeroed.get(l, [])))
+
+
 def test_predicted_speedup_matches_applied_macs_exactly():
     model = build_model("cnn:3x16x16:conv6k3s1p1-pool-conv4k3s1p1-dense7", seed=2)
     for tau in [0.0, 0.2, 0.5, 1.0, 3.0]:
@@ -204,6 +229,10 @@ def test_invalid_plans_rejected():
     empties = PrunePlan(((0, 0), (0, 1), (0, 2)), "threshold", 0.0, 1.0)
     with pytest.raises(ConstructionError):
         apply_plan(model, empties)
+    # a negative index would wrap around in a keep mask instead of failing
+    for removal in ((-1, 0), (len(model.layers), 0), (0, -1)):
+        with pytest.raises(ConstructionError, match="references"):
+            apply_plan(model, PrunePlan((removal,), "threshold", 0.0, 1.0))
 
 
 def test_output_groups_are_never_planned():
