@@ -8,6 +8,7 @@ Subcommands: train, prune, pipeline, sweep, macs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -59,6 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process, since building it costs more than a parse."""
+    return build_parser()
+
+
 def _config_from(args) -> "TrainConfig":
     cfg = load_config(args.config)
     overrides = {}
@@ -82,7 +89,7 @@ def _cmd_train(args) -> int:
     result = train(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), cfg, result.metrics)
-    write_trajectory_jsonl(os.path.join(cfg.out_dir, "norms.jsonl"), cfg, result.trajectory)
+    write_trajectory_jsonl(os.path.join(cfg.out_dir, "norms.jsonl"), cfg, result.trajectory, result.indexings)
     save_checkpoint(os.path.join(cfg.out_dir, "model.json"), result.model)
     test_metric = evaluate_dataset(result.model, result.dataset)
     last = result.metrics[-1]
@@ -157,7 +164,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except UnreachableTargetError as exc:

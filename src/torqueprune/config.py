@@ -168,6 +168,12 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"config key 'batch_size': must be >= 1, got {cfg.batch_size}")
     if cfg.dataset_size < 1:
         raise ConfigError(f"config key 'dataset_size': must be >= 1, got {cfg.dataset_size}")
+    for key in ("seed", "data_seed", "indexing_seed"):
+        value = getattr(cfg, key)
+        if value is not None and value < 0:
+            raise ConfigError(f"config key {key!r}: must be >= 0, got {value}")
+    if cfg.noise is not None and cfg.noise < 0:
+        raise ConfigError(f"config key 'noise': must be >= 0, got {cfg.noise}")
     if cfg.log_norms_every < 1:
         raise ConfigError(f"config key 'log_norms_every': must be >= 1, got {cfg.log_norms_every}")
     if cfg.finetune_epochs < 0:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,7 @@ class TrainResult:
     model: ModelGraph
     indexings: list
     metrics: list
-    trajectory: list  # [{"epoch": int, "groups": [...]}, ...]
+    trajectory: list  # [NormSnapshot, ...], one per logged epoch
     config: TrainConfig
     dataset: Dataset
 
@@ -143,15 +144,15 @@ def _check_dims(model: ModelGraph, dataset: Dataset) -> None:
         raise ConfigError(f"architecture has {outputs} outputs but dataset has {dataset.n_classes} classes")
 
 
-def norms_snapshot(model: ModelGraph, indexings, epoch: int) -> dict:
-    groups = []
-    for l, (norms, idx) in enumerate(zip(group_norm_values(model), indexings)):
-        rows = zip(idx.assigned_indices.tolist(), idx.distances.tolist(), norms.tolist())
-        groups.extend(
-            {"layer": l, "group": g, "index": index, "distance": distance, "norm": norm}
-            for g, (index, distance, norm) in enumerate(rows)
-        )
-    return {"epoch": epoch, "groups": groups}
+class NormSnapshot(NamedTuple):
+    """The group norms of one logged epoch: every layer's groups, in order, as one float64 array."""
+
+    epoch: int
+    norms: np.ndarray
+
+
+def norms_snapshot(model: ModelGraph, epoch: int) -> NormSnapshot:
+    return NormSnapshot(epoch, np.concatenate(group_norm_values(model)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +244,11 @@ def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
         regularizer_spec(cfg), indexings, penalized_layers(cfg, model),
     )
     metrics: list[MetricsRecord] = []
-    trajectory: list[dict] = []
+    trajectory: list[NormSnapshot] = []
     for record in loop:
         metrics.append(record)
         if record.epoch % cfg.log_norms_every == 0 or record.epoch == cfg.epochs:
-            trajectory.append(norms_snapshot(model, indexings, record.epoch))
+            trajectory.append(norms_snapshot(model, record.epoch))
     return TrainResult(model, indexings, metrics, trajectory, cfg, dataset)
 
 
@@ -316,7 +317,17 @@ def write_metrics_csv(path, cfg: TrainConfig, metrics) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trajectory_jsonl(path, cfg: TrainConfig, trajectory) -> None:
+def write_trajectory_jsonl(path, cfg: TrainConfig, trajectory, indexings) -> None:
+    """One header line, then one line per snapshot with a row per group.
+
+    A row's layer, group, index and distance come from the run's fixed
+    ``indexings``; only its norm comes from the snapshot.
+    """
+    keys = [
+        {"layer": l, "group": g, "index": index, "distance": distance}
+        for l, idx in enumerate(indexings)
+        for g, (index, distance) in enumerate(zip(idx.assigned_indices.tolist(), idx.distances.tolist()))
+    ]
     head = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
@@ -325,8 +336,9 @@ def write_trajectory_jsonl(path, cfg: TrainConfig, trajectory) -> None:
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(head) + "\n")
-        for entry in trajectory:
-            fh.write(json.dumps(entry) + "\n")
+        for epoch, norms in trajectory:
+            groups = [{**key, "norm": norm} for key, norm in zip(keys, norms.tolist(), strict=True)]
+            fh.write(json.dumps({"epoch": epoch, "groups": groups}) + "\n")
 
 
 def write_summary_csv(path, cfg: TrainConfig, rows, extra_columns=()) -> None:
@@ -436,7 +448,7 @@ def _pipeline(cfg: TrainConfig, dataset: Dataset, base: TrainResult, write: bool
         join = lambda name: os.path.join(cfg.out_dir, name)
         write_metrics_csv(join("base_metrics.csv"), base.config, base.metrics)
         write_metrics_csv(join("metrics.csv"), cfg, regularized.metrics)
-        write_trajectory_jsonl(join("norms.jsonl"), cfg, regularized.trajectory)
+        write_trajectory_jsonl(join("norms.jsonl"), cfg, regularized.trajectory, regularized.indexings)
         save_checkpoint(join("model_base.json"), base.model)
         save_checkpoint(join("model_regularized.json"), regularized.model)
         save_checkpoint(join("model_pruned.json"), pruned)

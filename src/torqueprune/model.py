@@ -277,6 +277,9 @@ def _checkpoint_ints(values, what: str) -> list:
 
 
 def _checkpoint_tensor(part: dict, what: str) -> Tensor:
+    # JSON numbers only: np.asarray would read "0.25" and true as floats
+    if not set(map(type, part["data"])) <= {int, float}:
+        raise ConstructionError(f"checkpoint {what} data must be JSON numbers")
     data = np.asarray(part["data"], dtype=np.float64)
     if not np.isfinite(data).all():
         raise ConstructionError(f"checkpoint {what} holds non-finite values")

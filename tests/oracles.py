@@ -3,7 +3,8 @@
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
 heaviside penalty, successor slices, convolution, relu, pooling, the dense
-layer) the slow and obvious way, so tests can hold the fast path to it.
+layer, the rows of a norm snapshot) the slow and obvious way, so tests can
+hold the fast path to it.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph, layer_output_shapes
+from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph, group_norm_values, layer_output_shapes
 from torqueprune.tensor import (
     NORM_EPS,
     ContractError,
@@ -96,6 +97,18 @@ def heaviside_reference_penalty(layer: GroupedLayer, indexing: GroupIndexing, th
     """Step-function penalty: force times the norm of every group at distance >= threshold."""
     norms = group_norm_array(layer.weight.data, None if layer.bias is None else layer.bias.data)
     return float((norms * np.where(indexing.distances >= threshold, force, 0.0)).sum())
+
+
+def norms_snapshot_rows(model: ModelGraph, indexings, epoch: int) -> dict:
+    """One ``norms.jsonl`` line as a dict: a ``{layer, group, index, distance, norm}`` row per group."""
+    groups = []
+    for l, (norms, idx) in enumerate(zip(group_norm_values(model), indexings)):
+        rows = zip(idx.assigned_indices.tolist(), idx.distances.tolist(), norms.tolist())
+        groups.extend(
+            {"layer": l, "group": g, "index": index, "distance": distance, "norm": norm}
+            for g, (index, distance, norm) in enumerate(rows)
+        )
+    return {"epoch": epoch, "groups": groups}
 
 
 def coupled_slices(model: ModelGraph, layer: int, group: int) -> list[tuple[int, tuple[int, ...]]]:

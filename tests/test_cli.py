@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from torqueprune.cli import main
+from torqueprune import cli
+from torqueprune.cli import build_parser, main
 from torqueprune.model import build_model
 
 TOY = """
@@ -90,6 +91,16 @@ def test_sweep_with_explicit_betas(toy_cfg, tmp_path, capsys):
 def test_sweep_bad_betas_exit_1(toy_cfg, capsys):
     assert main(["sweep", toy_cfg, "--betas", "abc"]) == 1
     assert "--betas" in capsys.readouterr().err
+
+
+def test_main_calls_in_one_process_see_only_their_own_flags(toy_cfg, tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "train", lambda args: seen.append(vars(args)) or 0)
+    assert main(["train", toy_cfg, "--seed", "7"]) == 0
+    assert main(["train", toy_cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    assert (seen[0]["seed"], seen[0]["out_dir"]) == (7, None)
+    assert (seen[1]["seed"], seen[1]["out_dir"]) == (None, str(tmp_path / "o"))
+    assert build_parser() is not build_parser()
 
 
 def test_log_norms_every_override(toy_cfg, tmp_path):
@@ -242,6 +253,13 @@ def _set_value(part, value):
     return mutate
 
 
+def _string_and_bool_weight(record):
+    # a JSON string and a boolean where numbers belong; both used to load as floats
+    record.clear()
+    record.update(build_model("mlp:2-3-2", seed=0).to_dict())
+    record["layers"][0]["weight"]["data"][:2] = ["0.25", True]
+
+
 # mutations of a trained mlp:2-16-2 checkpoint that `prune` must reject as
 # malformed (exit 1); a mutation that returns a string replaces the file's text
 MALFORMED = {
@@ -263,6 +281,8 @@ MALFORMED = {
     "huge_int_weight": _set_value("weight", 10**400),
     "deep_nesting": lambda record: "[" * 100000,
     "dense_before_conv": _dense_before_conv,
+    "string_and_bool_weight": _string_and_bool_weight,
+    "bool_bias": _set_value("bias", False),
 }
 
 

@@ -94,6 +94,9 @@ def test_bounds_validation():
         parse_config(MINIMAL + "reg_coefficient = -1\n")
     with pytest.raises(ConfigError):
         parse_config(MINIMAL + "log_norms_every = 0\n")
+    for line in ("seed = -1", "data_seed = -1", "indexing_seed = -2", "noise = -0.5"):
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            parse_config(MINIMAL + line + "\n")
 
 
 def test_enum_validation_names_value():

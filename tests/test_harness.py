@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from torqueprune.model import build_model, group_norm_values, model_indexings
 from torqueprune.regularizers import distance_weight
 from torqueprune.pruner import UnreachableTargetError, count_macs
 from torqueprune.tensor import Tensor
+
+from oracles import norms_snapshot_rows
 
 TOY = """
 arch = mlp:2-16-2
@@ -50,7 +54,8 @@ def test_train_determinism():
     a = train(cfg)
     b = train(cfg)
     assert a.metrics == b.metrics
-    assert a.trajectory == b.trajectory
+    snapshot_bytes = lambda result: [(t.epoch, t.norms.tobytes()) for t in result.trajectory]
+    assert snapshot_bytes(a) == snapshot_bytes(b)
     for la, lb in zip(a.model.layers, b.model.layers):
         assert la.weight.data.tobytes() == lb.weight.data.tobytes()
 
@@ -119,16 +124,71 @@ def test_finetune_numerical_abort():
     assert err.value.step >= 0
 
 
-def test_trajectory_period_and_identities():
+def test_trajectory_period_and_identities(tmp_path):
     cfg = with_overrides(toy_config("log_norms_every = 2\n"), epochs=5)
     result = train(cfg)
-    assert [t["epoch"] for t in result.trajectory] == [2, 4, 5]
-    first = [(g["layer"], g["group"], g["index"], g["distance"]) for g in result.trajectory[0]["groups"]]
-    for entry in result.trajectory[1:]:
+    assert [t.epoch for t in result.trajectory] == [2, 4, 5]
+    for t in result.trajectory:
+        assert t.norms.dtype == np.float64 and t.norms.shape == (18,)  # 16 hidden + 2 output groups
+        assert (t.norms >= 0.0).all()
+
+    path = tmp_path / "norms.jsonl"
+    harness.write_trajectory_jsonl(path, cfg, result.trajectory, result.indexings)
+    entries = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [e["epoch"] for e in entries] == [2, 4, 5]
+    first = [(g["layer"], g["group"], g["index"], g["distance"]) for g in entries[0]["groups"]]
+    for entry in entries[1:]:
         assert [(g["layer"], g["group"], g["index"], g["distance"]) for g in entry["groups"]] == first
-    for entry in result.trajectory:
+    for entry in entries:
         assert all(g["norm"] >= 0.0 for g in entry["groups"])
-    assert len(first) == 18  # 16 hidden + 2 output groups
+    assert len(first) == 18
+
+
+@pytest.mark.parametrize("arch", ["mlp:2-16-8-2", "cnn:2x1x1:conv6k1-conv4k1-dense2"])
+def test_trajectory_jsonl_matches_row_oracle(tmp_path, monkeypatch, arch):
+    # the oracle builds each snapshot's rows from the live model at the logged epoch
+    cfg = with_overrides(
+        toy_config("indexing = random\nindexing_seed = 5\nscheme = exponential_etp\nreg_coefficient = 1e-3\n"),
+        arch=arch, epochs=4,
+    )
+    expected = []
+    snapshot = harness.norms_snapshot
+
+    def recording(model, epoch):
+        indexings = model_indexings(model, cfg.indexing, cfg.effective_indexing_seed)
+        expected.append(norms_snapshot_rows(model, indexings, epoch))
+        return snapshot(model, epoch)
+
+    monkeypatch.setattr(harness, "norms_snapshot", recording)
+    result = train(cfg)
+    path = tmp_path / "norms.jsonl"
+    harness.write_trajectory_jsonl(path, cfg, result.trajectory, result.indexings)
+    lines = path.read_text().splitlines()
+    assert len(expected) == cfg.epochs
+    assert any(g["distance"] != g["group"] for g in expected[0]["groups"])  # the indexing is not natural
+    assert lines[1:] == [json.dumps(entry) for entry in expected]
+
+
+def test_train_result_holds_no_per_group_objects():
+    # a snapshot is one float64 array (130 groups, about 1 KB); a dict per
+    # group would take about 30 KB per snapshot
+    cfg = parse_config(
+        "arch = mlp:2-64-64-2\ndataset = two_spirals\ndataset_size = 64\nepochs = 20\nbatch_size = 64\n"
+        "scheme = exponential_etp\nreg_coefficient = 1e-3\n"
+    )
+    dataset = dataset_for(cfg)
+    train(cfg, dataset)  # first-call caches are not part of a result
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = train(cfg, dataset)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.trajectory) == cfg.epochs
+    assert retained / cfg.epochs < 10_000, retained  # model and metrics included
 
 
 def test_regression_metrics_fields():

@@ -1,7 +1,12 @@
-"""Property tests: any architecture string or checkpoint gives a result or a named error, never a traceback."""
+"""Property tests: any architecture string, config text, dataset CSV or checkpoint gives a result or a
+named error, never a traceback."""
 
+import contextlib
 import copy
+import dataclasses
+import io
 import json
+import math
 import os
 import tempfile
 
@@ -11,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from torqueprune.cli import main
+from torqueprune.config import _FLOAT_KEYS, TrainConfig
 from torqueprune.model import build_model
 
 SIZE = st.integers(0, 4)
@@ -77,3 +83,86 @@ def test_prune_on_any_mutated_checkpoint_exits_0_1_or_3(data, mode):
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(f"arch = mlp:2-3-2\ndataset = two_spirals\nprune_mode = {mode}\nprune_target = 1.2\n")
         assert main(["prune", cfg, "--checkpoint", ckpt, "--out-dir", os.path.join(tmp, "out")]) in (0, 1, 3)
+
+
+def _train(config_text: str) -> tuple:
+    """``torqueprune train`` on a config text with its own ``out_dir``: the exit code, and whether
+    every number the run logged (``metrics.csv``, ``norms.jsonl``, the printed loss and test lines)
+    is finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config_text + f"out_dir = {tmp}/out\n")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", path])
+        if code != 0:
+            return code, True
+        with open(os.path.join(tmp, "out", "metrics.csv"), encoding="utf-8") as fh:
+            values = [float(v) for row in fh.read().splitlines()[3:] for v in row.split(",") if v]
+        with open(os.path.join(tmp, "out", "norms.jsonl"), encoding="utf-8") as fh:
+            values += [g["norm"] for line in fh.readlines()[1:] for g in json.loads(line)["groups"]]
+    for line in stdout.getvalue().splitlines():
+        if line.startswith(("final ", "test ")):
+            values += [float(part.split("=")[-1]) for part in line.split()[1:]]
+    return code, all(map(math.isfinite, values))
+
+
+# values by key type; small magnitudes keep a correct two-epoch run finite
+FLOATS = st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-3", "nan", "inf", "-inf", "1,2", "auto"])
+INTS = st.one_of(st.integers(-2, 6).map(str), st.sampled_from(["1.5", "1,2", "nan"]))
+WORDS = st.sampled_from([
+    "none", "l1", "linear_torque", "exponential_etp", "heaviside", "cosine", "step", "multistep",
+    "linear_warmup_decay", "adam", "adamw", "random", "natural", "regression", "budget", "true", "false",
+    "0.9,0.999", "nan,0.9", "1,2", "two_spirals", "gaussian_blobs", "sine_regression", "csv:missing.csv",
+    "mlp:2-4-2", "mlp:1-4-1", "mlp:2-3", "mlp:2-0-2", "cnn:2x1x1:conv3k1-dense2", "",
+])
+FLOAT_KEYS = sorted(_FLOAT_KEYS | {"exp_base", "betas"})
+OTHER_KEYS = sorted({f.name for f in dataclasses.fields(TrainConfig)} - set(FLOAT_KEYS) - {"out_dir"}) + ["widget"]
+BASE = {"arch": "mlp:2-4-2", "dataset": "two_spirals", "dataset_size": "24", "epochs": "2", "batch_size": "8"}
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    floats=st.dictionaries(st.sampled_from(FLOAT_KEYS), FLOATS, max_size=2),
+    others=st.dictionaries(st.sampled_from(OTHER_KEYS), st.one_of(INTS, WORDS), max_size=2),
+    junk=st.one_of(st.just(""), st.text("ab1=-.,:# ", max_size=6)),
+)
+def test_train_on_any_config_text_exits_0_to_3(floats, others, junk):
+    lines = [f"{k} = {v}" for k, v in {**BASE, **others, **floats}.items()] + [junk]
+    code, finite = _train("\n".join(lines) + "\n")
+    assert code in (0, 1, 2, 3)
+    assert finite  # a run that succeeds logs no nan or inf
+
+
+NUMBER = st.sampled_from(["0", "1", "2", "-1", "0.5", "-2.5", "3"])
+ODD = st.sampled_from(["nan", "inf", "-inf", "x", ""])
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    data=st.data(),
+    columns=st.integers(1, 3),
+    task=st.sampled_from(["classification", "regression"]),
+    epochs=st.integers(1, 2),
+)
+def test_train_on_any_small_csv_exits_0_to_3(data, columns, task, epochs):
+    label = st.integers(-1, 2).map(str) if task == "classification" else NUMBER
+    row = st.builds(lambda x, y: x + [y], st.lists(NUMBER, min_size=columns - 1, max_size=columns - 1), label)
+    rows = data.draw(st.lists(row, min_size=1, max_size=8))
+    # a few cells that are not finite numbers, anywhere
+    for r, c, cell in data.draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), ODD), max_size=2)):
+        if r < len(rows) and c < columns:
+            rows[r][c] = cell
+    size = data.draw(st.integers(1, len(rows)))
+    config = (
+        f"arch = mlp:{max(columns - 1, 1)}-4-{3 if task == 'classification' else 1}\ntask = {task}\n"
+        f"dataset_size = {size}\nepochs = {epochs}\nbatch_size = 4\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "data.csv")
+        with open(csv, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(",".join(row) for row in rows) + "\n")
+        code, finite = _train(config + f"dataset = csv:{csv}\n")
+    assert code in (0, 1, 2, 3)
+    assert finite  # a run that succeeds logs no nan or inf
