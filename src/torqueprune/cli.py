@@ -1,8 +1,8 @@
 """Command-line entry points.
 
-Subcommands: train, prune, pipeline, sweep, macs.  Exit codes: 0 success,
-1 configuration/contract error, 2 numerical abort during training,
-3 unreachable pruning target.
+Subcommands: train, prune, pipeline, sweep, macs.  Exit codes: 0 success
+(``--help`` too), 1 usage or configuration/contract error, 2 numerical
+abort during training, 3 unreachable pruning target.
 """
 
 from __future__ import annotations
@@ -32,8 +32,13 @@ from .regularizers import BETA_GRID
 from .tensor import ContractError, ShapeError
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a ConfigError (exit 1), not argparse's exit 2
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torqueprune",
         description="Distance-weighted group-sparsity training and structured pruning.",
     )
@@ -164,8 +169,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)

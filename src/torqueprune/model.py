@@ -7,25 +7,18 @@ assigned group indices and the pivot (the assigned index of group 0).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    avg_pool2x2,
-    bias_add,
-    conv2d,
-    group_norm_array,
-    group_norms,  # the penalty's norm op; regularizers looks it up here
-    linear,
-    matmul,  # unused here since dense layers run as one ``linear`` node;
-    relu,
-    reshape,
-    transpose,  # the benchmark's op tracer still wraps both names here
-)
+from .tensor import ShapeError, Tensor, _from_op, group_norm_array, linear_bwd, linear_fwd, relu_bwd, relu_fwd
+from .tensor import avg_pool2x2_bwd, avg_pool2x2_fwd, bias_add_bwd, bias_add_fwd, conv2d_bwd, conv2d_fwd
+
+# Unused here since ``forward`` runs their kernels: the benchmark's op tracer
+# wraps these ops by name here, and regularizers looks up ``group_norms`` here.
+from .tensor import avg_pool2x2, bias_add, conv2d, group_norms, matmul, relu, reshape, transpose
 
 __all__ = [
     "ConstructionError",
@@ -398,22 +391,53 @@ def group_norm_values(model: ModelGraph) -> list[np.ndarray]:
 
 
 def forward(model: ModelGraph, batch: Tensor) -> Tensor:
-    """Run the network on a batch shaped [B, *input_shape]."""
+    """Run the network on a batch shaped [B, *input_shape] as one graph node.
+
+    Each layer runs its ops' forward kernels (a dense layer flattens a conv
+    map first).  The node's backward runs the backward kernels from the last
+    layer to the first and yields each layer's weight and bias gradients as
+    soon as it has them, then the batch's: the bits of one node per op.
+    """
     expected = tuple(model.input_shape)
     if batch.shape[1:] != expected:
         raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
-    x = batch
+    x = batch.data
+    flowing = batch.requires_grad  # whether the current layer's input needs a gradient
+    saved = []
     for layer, act, pool in zip(model.layers, model.activations, model.pools):
-        if layer.kind == "dense" and len(x.shape) > 2:
-            x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
+        shape = x.shape
+        b = None if layer.bias is None else layer.bias.data
         if layer.kind == "conv2d":
-            x = conv2d(x, layer.weight, stride=layer.stride, padding=layer.padding)
-            if layer.bias is not None:
-                x = bias_add(x, layer.bias)
+            out, x = conv2d_fwd(x, layer.weight.data, layer.stride, layer.padding)
+            if b is not None:
+                out = bias_add_fwd(out, b)
         else:
-            x = linear(x, layer.weight, layer.bias)
-        if act == "relu":
-            x = relu(x)
-        if pool:
-            x = avg_pool2x2(x)
-    return x
+            if len(shape) > 2:
+                x = x.reshape(shape[0], math.prod(shape[1:]))
+            out = linear_fwd(x, layer.weight.data, b)
+        saved.append((layer, act, pool, shape, x, out, flowing))
+        flowing = flowing or layer.weight.requires_grad or (b is not None and layer.bias.requires_grad)
+        x = relu_fwd(out) if act == "relu" else out
+        x = avg_pool2x2_fwd(x) if pool else x
+
+    def bwd(g):
+        for layer, act, pool, shape, x, out, need_x in reversed(saved):
+            g = avg_pool2x2_bwd(g) if pool else g
+            if act == "relu":
+                g = relu_bwd(g, out)
+            if layer.kind == "conv2d":
+                gb = None if layer.bias is None else bias_add_bwd(g)
+                g, gw = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
+            else:
+                g, gw, gb = linear_bwd(g, x, layer.weight.data, need_x)
+                if g is not None and len(shape) > 2:
+                    g = g.reshape(shape)
+            yield gw
+            if layer.bias is not None:
+                yield gb
+            if g is None:
+                return
+        yield g
+
+    parents = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
+    return _from_op(x, parents + [batch], "forward", bwd)

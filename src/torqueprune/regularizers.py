@@ -23,7 +23,8 @@ import numpy as np
 
 from . import model as _model
 from .model import GroupIndexing, GroupedLayer, ModelGraph
-from .tensor import ContractError, Tensor, add, scale, weighted_sum
+from .tensor import ContractError, Tensor, _from_op, add, group_norms_bwd, group_norms_fwd, mse_loss_bwd, mse_loss_fwd
+from .tensor import scale, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd, weighted_sum
 
 __all__ = [
     "SCHEMES",
@@ -36,6 +37,7 @@ __all__ = [
     "penalty_weights",
     "weighted_penalty",
     "total_loss",
+    "objective",
 ]
 
 SCHEMES = ("linear_torque", "heaviside", "exponential_etp", "l1", "none")
@@ -182,3 +184,38 @@ def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Ten
     if spec.scheme == "none" or spec.reg_coefficient == 0.0:
         return task_loss
     return add(task_loss, scale(penalty, spec.reg_coefficient))
+
+
+def objective(out: Tensor, target, classification: bool, spec: RegularizerSpec, model: ModelGraph, weights):
+    """(loss, task value, penalty value): the training loss task + beta * penalty as one node.
+
+    The task is softmax cross-entropy against integer labels (``classification``) or MSE against
+    ``target``; the penalty is ``weighted_penalty(model, weights)``, with the bits of ``total_loss``
+    over the two.  With scheme ``none`` or beta 0 the loss is the task alone; the penalty is still returned.
+    """
+    if classification:
+        task, logp, lab = softmax_cross_entropy_fwd(out.data, target)
+    else:
+        task, diff = mse_loss_fwd(out.data, np.asarray(target, dtype=np.float64))
+    pen, terms = 0.0, []
+    for idx, w in weights:
+        layer = model.layers[idx]
+        norms, inv = group_norms_fwd(layer.weight.data, None if layer.bias is None else layer.bias.data)
+        pen = pen + np.vdot(norms, w) if terms else np.vdot(norms, w)
+        terms.append((layer, w, inv))
+    beta = spec.reg_coefficient
+    active = spec.scheme != "none" and beta != 0.0
+    penalized = terms if active else []
+
+    def bwd(g):
+        yield softmax_cross_entropy_bwd(float(g), logp, lab) if classification else mse_loss_bwd(float(g), diff)
+        for layer, w, inv in penalized:
+            bias = None if layer.bias is None else layer.bias.data
+            gw, gb = group_norms_bwd(float(g * beta) * w, inv, layer.weight.data, bias)
+            yield gw
+            if bias is not None:
+                yield gb
+
+    parents = [out] + [p for layer, _, _ in penalized for p in (layer.weight, layer.bias) if p is not None]
+    loss = _from_op(np.asarray(task + pen * beta) if active else task, parents, "objective", bwd)
+    return loss, float(task), float(pen)

@@ -5,6 +5,10 @@ backward rule, so the graph is rebuilt on each forward pass and freed with
 its tensors.  A graph and the tensors on it belong to one run; separate runs
 share nothing, so they may live on separate threads.
 
+Each layer op is a forward and a backward array kernel, ``<op>_fwd`` and
+``<op>_bwd``; its ``Tensor`` op wraps the pair as one node, and larger nodes
+(``model.forward``, ``regularizers.objective``) call the same kernels.
+
 Everything is float64.  Gradient checks against central differences at
 rtol 1e-5 are the correctness bar, and that is not reachable in float32.
 """
@@ -12,7 +16,7 @@ rtol 1e-5 are the correctness bar, and that is not reachable in float32.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -58,7 +62,9 @@ class Tensor:
     backward passes accumulate into it until ``zero_grad``.  Tensors created
     by operations remember their inputs (``_parents``), the local backward
     rule (``_bwd``) and their depth in the graph (``_rank``: 1 + the highest
-    parent rank); leaf tensors have no parents or rule and rank 0.
+    parent rank); leaf tensors have no parents or rule and rank 0.  A rule
+    returns or yields one gradient (or None) per parent, in parent order; a
+    yielded gradient is passed on before the rule computes the next one.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op", "_rank")
@@ -69,7 +75,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._bwd: Callable[[np.ndarray], tuple] | None = None
+        self._bwd: Callable[[np.ndarray], Iterable] | None = None
         self._op = "leaf"
         self._rank = 0
 
@@ -170,44 +176,44 @@ def transpose(a: Tensor) -> Tensor:
     return _from_op(a.data.T, (a,), "transpose", lambda g: (g.T,))
 
 
+def bias_add_fwd(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if x.ndim < 2 or b.ndim != 1 or b.shape[0] != x.shape[1]:
+        raise ShapeError(f"bias_add: bias {b.shape} does not fit input {x.shape}")
+    return x + b.reshape((1, b.shape[0]) + (1,) * (x.ndim - 2))
+
+
+def bias_add_bwd(g: np.ndarray) -> np.ndarray:
+    """The bias gradient; the input's gradient is ``g`` itself."""
+    return g.sum(axis=(0,) + tuple(range(2, g.ndim)))
+
+
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
     """Add a per-output-slice bias: b broadcasts over every axis but axis 1."""
-    if x.data.ndim < 2 or b.data.ndim != 1 or b.shape[0] != x.shape[1]:
-        raise ShapeError(f"bias_add: bias {b.shape} does not fit input {x.shape}")
-    bshape = (1, b.shape[0]) + (1,) * (x.data.ndim - 2)
-    axes = (0,) + tuple(range(2, x.data.ndim))
-
-    def bwd(g):
-        gx = g if x.requires_grad else None
-        gb = g.sum(axis=axes) if b.requires_grad else None
-        return gx, gb
-
-    return _from_op(x.data + b.data.reshape(bshape), (x, b), "bias_add", bwd)
+    return _from_op(bias_add_fwd(x.data, b.data), (x, b), "bias_add", lambda g: (g, bias_add_bwd(g)))
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Dense layer x @ weight.T + bias as one node; ``weight`` is [out, in].
-
-    Forward and gradients use the numpy calls of ``bias_add(matmul(x,
-    transpose(weight)), bias)``, so the results keep their bits.
-    """
-    if x.data.ndim != 2 or weight.data.ndim != 2 or x.shape[1] != weight.shape[1]:
+def linear_fwd(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """x @ weight.T + bias with the bits of ``bias_add(matmul(x, transpose(weight)), bias)``."""
+    if x.ndim != 2 or weight.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear: input {x.shape} does not fit weight {weight.shape}")
     if bias is not None and bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear: bias {bias.shape} does not fit weight {weight.shape}")
-    out = x.data @ weight.data.T
+    out = x @ weight.T
     if bias is not None:
-        out += bias.data
+        out += bias
+    return out
 
-    def bwd(g):
-        gx = g @ weight.data if x.requires_grad else None
-        gw = (x.data.T @ g).T if weight.requires_grad else None
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=0) if bias.requires_grad else None
 
+def linear_bwd(g: np.ndarray, x: np.ndarray, weight: np.ndarray, need_x: bool):
+    """(input, weight, bias) gradients; the input's is None unless ``need_x``."""
+    return g @ weight if need_x else None, (x.T @ g).T, g.sum(axis=0)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Dense layer x @ weight.T + bias as one node; ``weight`` is [out, in]."""
+    out = linear_fwd(x.data, weight.data, None if bias is None else bias.data)
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _from_op(out, parents, "linear", bwd)
+    return _from_op(out, parents, "linear", lambda g: linear_bwd(g, x.data, weight.data, x.requires_grad))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
@@ -221,22 +227,27 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 # nonlinearities and losses
 
 
+def relu_fwd(x: np.ndarray) -> np.ndarray:
+    out = np.fmax(x, 0.0)
+    out += 0.0  # fmax(-0.0, 0.0) may be -0.0
+    return out
+
+
+def relu_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return g * (x > 0)
+
+
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); subgradient 0 at exactly 0.
 
     NaN maps to 0 and -0.0 to +0.0, as with ``np.where(x > 0, x, 0.0)``.
     """
-    out = np.fmax(x.data, 0.0)
-    out += 0.0  # fmax(-0.0, 0.0) may be -0.0
-    return _from_op(out, (x,), "relu", lambda g: (g * (x.data > 0),))
+    return _from_op(relu_fwd(x.data), (x,), "relu", lambda g: (relu_bwd(g, x.data),))
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log softmax probability of the true class.
-
-    Stabilized by row-max subtraction; backward is (softmax - onehot) / N.
-    """
-    if logits.data.ndim != 2:
+def softmax_cross_entropy_fwd(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, log-probabilities, integer labels)."""
+    if logits.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: expected [N, C] logits, got {logits.shape}")
     n, c = logits.shape
     lab = np.asarray(labels)
@@ -246,30 +257,44 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     if lab.size and (lab.min() < 0 or lab.max() >= c):
         bad = lab[(lab < 0) | (lab >= c)][0]
         raise IndexError(f"label {int(bad)} out of range for {c} classes")
-
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = np.asarray(-logp[np.arange(n), lab].mean())
+    return np.asarray(-logp[np.arange(n), lab].mean()), logp, lab
 
-    def bwd(g):
-        p = np.exp(logp)
-        p[np.arange(n), lab] -= 1.0
-        return (float(g) * p / n,)
 
+def softmax_cross_entropy_bwd(g: float, logp: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    n = logp.shape[0]
+    p = np.exp(logp)
+    p[np.arange(n), lab] -= 1.0
+    return g * p / n
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log softmax probability of the true class.
+
+    Stabilized by row-max subtraction; backward is (softmax - onehot) / N.
+    """
+    loss, logp, lab = softmax_cross_entropy_fwd(logits.data, labels)
+    bwd = lambda g: (softmax_cross_entropy_bwd(float(g), logp, lab),)
     return _from_op(loss, (logits,), "softmax_cross_entropy", bwd)
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+def mse_loss_fwd(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(loss, pred - target)."""
     if pred.shape != target.shape:
         raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
-    diff = pred.data - target.data
-    n = pred.size
-    loss = np.asarray((diff * diff).mean())
+    diff = pred - target
+    return np.asarray((diff * diff).mean()), diff
 
-    def bwd(g):
-        gp = float(g) * 2.0 * diff / n
-        return (gp if pred.requires_grad else None, -gp if target.requires_grad else None)
 
+def mse_loss_bwd(g: float, diff: np.ndarray) -> np.ndarray:
+    """The prediction's gradient; the target's is its negative."""
+    return g * 2.0 * diff / diff.size
+
+
+def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
+    loss, diff = mse_loss_fwd(pred.data, target.data)
+    bwd = lambda g: (mse_loss_bwd(float(g), diff), -mse_loss_bwd(float(g), diff) if target.requires_grad else None)
     return _from_op(loss, (pred, target), "mse_loss", bwd)
 
 
@@ -277,83 +302,82 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 # convolution and pooling
 
 
-def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of [N,C,H,W] input with [O,C,K,K] kernel (no flip).
+def _tap(a: int, b: int, stride: int, h_out: int, w_out: int) -> tuple:
+    return np.s_[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride]
 
-    H_out = floor((H + 2*padding - K) / stride) + 1, same for W.
-    """
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
+
+def conv2d_fwd(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
+    """(output, zero-padded input): one matmul per kernel tap over the strided
+    input slice it sees, so no [N, C, H_out, W_out, K, K] window or im2col matrix."""
+    if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     if kernel.shape[2] != kernel.shape[3]:
         raise ShapeError(f"conv2d: kernel must be square, got {kernel.shape}")
     if x.shape[1] != kernel.shape[1]:
         raise ShapeError(f"conv2d: input channels {x.shape[1]} != kernel channels {kernel.shape[1]}")
-    stride = int(stride)
-    padding = int(padding)
     if stride < 1:
         raise ContractError(f"conv2d: stride must be positive, got {stride}")
     if padding < 0:
         raise ContractError(f"conv2d: padding must be non-negative, got {padding}")
-
     n_, c, h, w = x.shape
     o, _, k, _ = kernel.shape
     if h + 2 * padding < k or w + 2 * padding < k:
-        raise ShapeError(
-            f"conv2d: kernel {k}x{k} exceeds padded input "
-            f"{h + 2 * padding}x{w + 2 * padding}"
-        )
-
-    xp = x.data
+        raise ShapeError(f"conv2d: kernel {k}x{k} exceeds padded input {h + 2 * padding}x{w + 2 * padding}")
+    xp = x
     if padding:
         xp = np.zeros((n_, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
+        xp[:, :, padding : padding + h, padding : padding + w] = x
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
-
-    # One matmul per kernel tap (a, b) over the strided input slice that tap
-    # sees, so no [N, C, H_out, W_out, K, K] window or im2col matrix is built.
-    def tap(a: int, b: int) -> tuple:
-        return np.s_[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride]
-
-    def tap_input(a: int, b: int) -> np.ndarray:
-        return xp[tap(a, b)].reshape(n_, c, h_out * w_out)
-
     out = np.zeros((n_, o, h_out * w_out))
     for a in range(k):
         for b in range(k):
-            out += kernel.data[:, :, a, b] @ tap_input(a, b)
-    out = out.reshape(n_, o, h_out, w_out)
+            out += kernel[:, :, a, b] @ xp[_tap(a, b, stride, h_out, w_out)].reshape(n_, c, h_out * w_out)
+    return out.reshape(n_, o, h_out, w_out), xp
 
-    def bwd(g):
-        g = g.reshape(n_, o, h_out * w_out)
-        gk = np.empty_like(kernel.data) if kernel.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        for a in range(k):
-            for b in range(k):
-                if gk is not None:
-                    gk[:, :, a, b] = (g @ tap_input(a, b).transpose(0, 2, 1)).sum(axis=0)
-                if gxp is not None:
-                    gxp[tap(a, b)] += (kernel.data[:, :, a, b].T @ g).reshape(n_, c, h_out, w_out)
-        gx = None
-        if gxp is not None:
-            gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        return gx, gk
 
+def conv2d_bwd(g, xp: np.ndarray, kernel: np.ndarray, stride: int, padding: int, need_x: bool):
+    """(input, kernel) gradients; the input's is None unless ``need_x``."""
+    n_, c, hp, wp = xp.shape
+    o, _, k, _ = kernel.shape
+    h_out, w_out = g.shape[2], g.shape[3]
+    g = g.reshape(n_, o, h_out * w_out)
+    gk = np.empty_like(kernel)
+    gxp = np.zeros_like(xp) if need_x else None
+    for a in range(k):
+        for b in range(k):
+            tap = _tap(a, b, stride, h_out, w_out)
+            gk[:, :, a, b] = (g @ xp[tap].reshape(n_, c, h_out * w_out).transpose(0, 2, 1)).sum(axis=0)
+            if gxp is not None:
+                gxp[tap] += (kernel[:, :, a, b].T @ g).reshape(n_, c, h_out, w_out)
+    if gxp is not None and padding:
+        gxp = gxp[:, :, padding : hp - padding, padding : wp - padding]
+    return gxp, gk
+
+
+def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of [N,C,H,W] input with [O,C,K,K] kernel (no flip).
+
+    H_out = floor((H + 2*padding - K) / stride) + 1, same for W.
+    """
+    stride, padding = int(stride), int(padding)
+    out, xp = conv2d_fwd(x.data, kernel.data, stride, padding)
+    bwd = lambda g: conv2d_bwd(g, xp, kernel.data, stride, padding, x.requires_grad)
     return _from_op(out, (x, kernel), "conv2d", bwd)
 
 
-def avg_pool2x2(x: Tensor) -> Tensor:
-    """Fixed 2x2 average pooling with stride 2; spatial dims must be even."""
-    if x.data.ndim != 4:
+def avg_pool2x2_fwd(x: np.ndarray) -> np.ndarray:
+    """Each 2x2 window [[x00, x01], [x10, x11]] is averaged with the bits of
+    numpy's reshape-mean: it sums (x00 + x01) + (x10 + x11), or the four in
+    turn when the pooled map is one column wide, and its sum turns an all
+    -0.0 window into +0.0.
+    """
+    if x.ndim != 4:
         raise ShapeError(f"avg_pool2x2: expected 4-d input, got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2x2: spatial dims must be even, got {h}x{w}")
-    # Each 2x2 window [[x00, x01], [x10, x11]] is averaged with the bits of
-    # numpy's reshape-mean: it sums (x00 + x01) + (x10 + x11), or the four in
-    # turn when the pooled map is one column wide, and its sum turns an all
-    # -0.0 window into +0.0.
-    x00, x01, x10, x11 = (x.data[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
+    x00, x01, x10, x11 = (x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1))
     out = x00 + x01
     if w == 2:
         out += x10
@@ -362,16 +386,22 @@ def avg_pool2x2(x: Tensor) -> Tensor:
         out += x10 + x11
     out += 0.0
     out /= 4.0
+    return out
 
-    def bwd(g):
-        quarter = g / 4.0
-        gx = np.empty((n, c, h, w))
-        for i in (0, 1):
-            for j in (0, 1):
-                gx[:, :, i::2, j::2] = quarter
-        return (gx,)
 
-    return _from_op(out, (x,), "avg_pool2x2", bwd)
+def avg_pool2x2_bwd(g: np.ndarray) -> np.ndarray:
+    n, c, h, w = g.shape
+    quarter = g / 4.0
+    gx = np.empty((n, c, 2 * h, 2 * w))
+    for i in (0, 1):
+        for j in (0, 1):
+            gx[:, :, i::2, j::2] = quarter
+    return gx
+
+
+def avg_pool2x2(x: Tensor) -> Tensor:
+    """Fixed 2x2 average pooling with stride 2; spatial dims must be even."""
+    return _from_op(avg_pool2x2_fwd(x.data), (x,), "avg_pool2x2", lambda g: (avg_pool2x2_bwd(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +420,23 @@ def group_norm_array(weight: np.ndarray, bias: np.ndarray | None = None) -> np.n
     return np.sqrt(sq)
 
 
+def group_norms_fwd(weight: np.ndarray, bias: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, inverse norms with 0 below ``NORM_EPS``)."""
+    if weight.ndim < 2:
+        raise ShapeError(f"group_norms: weight must have ndim >= 2, got {weight.shape}")
+    if bias is not None and bias.shape != (weight.shape[0],):
+        raise ShapeError(f"group_norms: bias {bias.shape} does not match {weight.shape[0]} groups")
+    norms = group_norm_array(weight, bias)
+    return norms, np.where(norms >= NORM_EPS, 1.0 / np.maximum(norms, NORM_EPS), 0.0)
+
+
+def group_norms_bwd(g, inv: np.ndarray, weight: np.ndarray, bias: np.ndarray | None):
+    """(weight, bias) gradients for norm gradients ``g``; no bias, no bias gradient."""
+    coef = g * inv
+    gw = (coef[:, None] * weight.reshape(weight.shape[0], -1)).reshape(weight.shape)
+    return gw, None if bias is None else coef * bias
+
+
 def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Per-output-slice Euclidean norms, one per row of axis 0.
 
@@ -397,26 +444,10 @@ def group_norms(weight: Tensor, bias: Tensor | None = None) -> Tensor:
     where a norm falls below 1e-12, so dead groups stay dead and nothing
     divides by zero.
     """
-    if weight.data.ndim < 2:
-        raise ShapeError(f"group_norms: weight must have ndim >= 2, got {weight.shape}")
-    g_count = weight.shape[0]
-    if bias is not None and bias.shape != (g_count,):
-        raise ShapeError(f"group_norms: bias {bias.shape} does not match {g_count} groups")
-
-    wflat = weight.data.reshape(g_count, -1)
-    norms = group_norm_array(wflat, None if bias is None else bias.data)
-    inv = np.where(norms >= NORM_EPS, 1.0 / np.maximum(norms, NORM_EPS), 0.0)
-
-    def bwd(g):
-        coef = g * inv
-        gw = (coef[:, None] * wflat).reshape(weight.shape) if weight.requires_grad else None
-        if bias is None:
-            return (gw,)
-        gb = coef * bias.data if bias.requires_grad else None
-        return gw, gb
-
+    b = None if bias is None else bias.data
+    norms, inv = group_norms_fwd(weight.data, b)
     parents = (weight,) if bias is None else (weight, bias)
-    return _from_op(norms, parents, "group_norms", bwd)
+    return _from_op(norms, parents, "group_norms", lambda g: group_norms_bwd(g, inv, weight.data, b))
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph, group_nor
 from torqueprune.tensor import (
     NORM_EPS,
     ContractError,
+    ShapeError,
     Tensor,
     _from_op,
+    avg_pool2x2,
     bias_add,
+    conv2d,
     group_norm_array,
+    linear,
     matmul,
+    relu,
+    reshape,
     transpose,
 )
 
@@ -180,3 +186,25 @@ def dense_chain_reference(x: Tensor, weight: Tensor, bias: Tensor | None = None)
     """A dense layer as three nodes: ``bias_add(matmul(x, transpose(weight)), bias)``."""
     out = matmul(x, transpose(weight))
     return out if bias is None else bias_add(out, bias)
+
+
+def forward_reference(model: ModelGraph, batch: Tensor) -> Tensor:
+    """``model.forward`` as one graph node per op: reshape, conv2d, bias_add, linear, relu, avg_pool2x2."""
+    expected = tuple(model.input_shape)
+    if batch.shape[1:] != expected:
+        raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
+    x = batch
+    for layer, act, pool in zip(model.layers, model.activations, model.pools):
+        if layer.kind == "dense" and len(x.shape) > 2:
+            x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
+        if layer.kind == "conv2d":
+            x = conv2d(x, layer.weight, stride=layer.stride, padding=layer.padding)
+            if layer.bias is not None:
+                x = bias_add(x, layer.bias)
+        else:
+            x = linear(x, layer.weight, layer.bias)
+        if act == "relu":
+            x = relu(x)
+        if pool:
+            x = avg_pool2x2(x)
+    return x

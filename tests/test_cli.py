@@ -117,6 +117,31 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing.cfg")]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "required: command"),
+        (["train"], "required: config"),
+        (["prune", "CFG"], "required: --checkpoint"),
+        (["train", "CFG", "--seed", "x"], "invalid int value"),
+        (["bogus"], "invalid choice"),
+    ],
+)
+def test_usage_errors_exit_1(toy_cfg, capsys, argv, message):
+    # exit 2 is a numerical abort; a bad argument list is a usage error, returned and not raised
+    assert main([toy_cfg if a == "CFG" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: torqueprune") and message in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["prune", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: torqueprune" in capsys.readouterr().out
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exit_2(tmp_path, capsys):
     cfg = tmp_path / "hot.cfg"

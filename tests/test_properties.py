@@ -1,5 +1,5 @@
 """Property tests: any architecture string, config text, dataset CSV or checkpoint gives a result or a
-named error, never a traceback."""
+named error, never a traceback; pruning never changes what a model outputs."""
 
 import contextlib
 import copy
@@ -10,6 +10,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -17,7 +18,9 @@ st = hypothesis.strategies
 
 from torqueprune.cli import main
 from torqueprune.config import _FLOAT_KEYS, TrainConfig
-from torqueprune.model import build_model
+from torqueprune.model import ConstructionError, build_model, forward
+from torqueprune.pruner import UnreachableTargetError, apply_plan, plan_by_budget, plan_by_threshold
+from torqueprune.tensor import Tensor
 
 SIZE = st.integers(0, 4)
 
@@ -166,3 +169,44 @@ def test_train_on_any_small_csv_exits_0_to_3(data, columns, task, epochs):
         code, finite = _train(config + f"dataset = csv:{csv}\n")
     assert code in (0, 1, 2, 3)
     assert finite  # a run that succeeds logs no nan or inf
+
+
+PRUNE_MLP = st.builds(
+    lambda dims: "mlp:" + "-".join(map(str, dims)), st.lists(st.integers(1, 5), min_size=3, max_size=5)
+)
+PRUNE_CONV = st.builds(
+    lambda o, k, s, p, pool: f"conv{o}k{k}s{s}p{p}" + ("-pool" if pool else ""),
+    st.integers(1, 4), st.integers(1, 3), st.integers(1, 2), st.integers(0, 1), st.booleans(),
+)
+PRUNE_CNN = st.builds(
+    lambda c, hw, convs, dense: f"cnn:{c}x{hw}x{hw}:" + "-".join(convs + [f"dense{d}" for d in dense]),
+    st.integers(1, 3), st.integers(2, 8), st.lists(PRUNE_CONV, min_size=1, max_size=2),
+    st.lists(st.integers(1, 4), max_size=2),
+)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(data=st.data(), arch=st.one_of(PRUNE_MLP, PRUNE_CNN), seed=st.integers(0, 3))
+def test_pruning_zeroed_groups_keeps_the_outputs(data, arch, seed):
+    try:
+        model = build_model(arch, seed=seed)
+    except ConstructionError:
+        hypothesis.assume(False)
+    hypothesis.assume(len(model.layers) > 1)  # a one-layer model's only layer is prunable
+    for layer in model.layers:  # zero a drawn set of groups in every layer, the output layer included
+        for g in data.draw(st.sets(st.integers(0, layer.group_count - 1))):
+            layer.weight.data[g] = 0.0
+            layer.bias.data[g] = 0.0
+    batch = Tensor(np.random.default_rng(seed).normal(0.0, 1.0, (4,) + model.input_shape))
+    before = forward(model, batch).data
+    pruned = apply_plan(model, plan_by_threshold(model, 1e-12))
+    after = forward(pruned, batch).data
+    assert after.shape == before.shape
+    np.testing.assert_allclose(after, before, rtol=1e-12, atol=1e-12)
+
+    with pytest.raises(UnreachableTargetError) as top:
+        plan_by_budget(model, 1e9)
+    target = data.draw(st.floats(1.0, top.value.max_achievable))
+    budget = apply_plan(model, plan_by_budget(model, target))
+    assert budget.layers[-1].group_count == model.layers[-1].group_count
+    assert forward(budget, batch).shape == before.shape
