@@ -4,6 +4,11 @@ One assignment per line, ``#`` starts a comment, unknown keys are rejected
 by name.  Every field has a default except ``arch`` and ``dataset``; the
 resolved config hashes to a stable digest that output-file headers carry so
 any artifact can be traced back to its exact configuration.
+
+The mappers ``optimizer_for``, ``schedule_for`` and ``regularizer_spec``
+build each training component from a config.  Each component checks its
+own settings, and ``validate_config`` builds them once, so a config that
+could not train is rejected when it loads.
 """
 
 from __future__ import annotations
@@ -13,15 +18,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .optim import OPTIMIZER_KINDS, SCHEDULE_KINDS
-from .regularizers import SCHEMES
+from .model import ConstructionError, assign_indexing, parse_arch
+from .optim import LrSchedule, Optimizer
+from .regularizers import RegularizerSpec
+from .tensor import ContractError
 
 
 class ConfigError(ValueError):
     """A run configuration is missing, malformed, or inconsistent."""
 
 
-INDEXING_STRATEGIES = ("natural", "random")
 PRUNE_MODES = ("threshold", "budget")
 SCHEDULE_UNITS = ("epoch", "step")
 TASK_KINDS = ("classification", "regression")
@@ -178,32 +184,17 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"config key 'log_norms_every': must be >= 1, got {cfg.log_norms_every}")
     if cfg.finetune_epochs < 0:
         raise ConfigError(f"config key 'finetune_epochs': must be >= 0, got {cfg.finetune_epochs}")
-    if cfg.optimizer not in OPTIMIZER_KINDS:
-        raise ConfigError(f"config key 'optimizer': {cfg.optimizer!r} not in {OPTIMIZER_KINDS}")
-    if cfg.schedule not in SCHEDULE_KINDS:
-        raise ConfigError(f"config key 'schedule': {cfg.schedule!r} not in {SCHEDULE_KINDS}")
     if cfg.schedule_unit not in SCHEDULE_UNITS:
         raise ConfigError(f"config key 'schedule_unit': {cfg.schedule_unit!r} not in {SCHEDULE_UNITS}")
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"config key 'scheme': {cfg.scheme!r} not in {SCHEMES}")
-    if cfg.indexing not in INDEXING_STRATEGIES:
-        raise ConfigError(f"config key 'indexing': {cfg.indexing!r} not in {INDEXING_STRATEGIES}")
     if cfg.prune_mode not in PRUNE_MODES:
         raise ConfigError(f"config key 'prune_mode': {cfg.prune_mode!r} not in {PRUNE_MODES}")
     if cfg.task not in TASK_KINDS:
         raise ConfigError(f"config key 'task': {cfg.task!r} not in {TASK_KINDS}")
-    if cfg.scheme == "heaviside" and (cfg.heaviside_threshold is None or cfg.heaviside_force is None):
-        raise ConfigError("heaviside scheme needs config keys 'heaviside_threshold' and 'heaviside_force'")
-    if cfg.exp_base is not None and cfg.exp_base <= 1.0:
-        raise ConfigError(f"config key 'exp_base': must exceed 1 (or be 'auto'), got {cfg.exp_base}")
-    if cfg.reg_coefficient < 0:
-        raise ConfigError(f"config key 'reg_coefficient': must be >= 0, got {cfg.reg_coefficient}")
+    # the planners need a model to check these, so they are checked here
     if cfg.prune_threshold < 0:
         raise ConfigError(f"config key 'prune_threshold': must be >= 0, got {cfg.prune_threshold}")
     if cfg.prune_target < 1.0:
         raise ConfigError(f"config key 'prune_target': must be >= 1, got {cfg.prune_target}")
-    if cfg.lr < 0 or cfg.momentum < 0 or cfg.weight_decay < 0:
-        raise ConfigError("config keys 'lr', 'momentum', 'weight_decay' must be >= 0")
     if not cfg.dataset.startswith("csv:"):
         # generator names are validated here; csv paths are checked at load time
         from .datasets import GENERATOR_NAMES
@@ -212,13 +203,52 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(
                 f"config key 'dataset': {cfg.dataset!r} is neither csv:<path> nor one of {GENERATOR_NAMES}"
             )
-    # fail fast on an unparseable architecture
-    from .model import ConstructionError, parse_arch
-
     try:
         parse_arch(cfg.arch)
     except ConstructionError as exc:
         raise ConfigError(f"config key 'arch': {exc}") from None
+    # each component checks its own settings; building them here fails a config before any training
+    try:
+        optimizer_for(cfg, ())
+        schedule_for(cfg, 1)
+        regularizer_spec(cfg)
+        assign_indexing(1, cfg.indexing)
+    except (ContractError, ConstructionError) as exc:
+        raise ConfigError(f"config: {exc}") from None
+
+
+def optimizer_for(cfg: TrainConfig, params) -> Optimizer:
+    return Optimizer(
+        params,
+        kind=cfg.optimizer,
+        lr=cfg.lr,
+        momentum=cfg.momentum,
+        betas=cfg.betas,
+        weight_decay=cfg.weight_decay,
+    )
+
+
+def schedule_for(cfg: TrainConfig, steps_per_epoch: int) -> LrSchedule:
+    total = cfg.epochs * steps_per_epoch if cfg.schedule_unit == "step" else cfg.epochs
+    return LrSchedule(
+        kind=cfg.schedule,
+        milestones=cfg.milestones,
+        gamma=cfg.gamma,
+        step_size=cfg.step_size,
+        t_max=cfg.effective_t_max,
+        warmup_fraction=cfg.warmup_fraction,
+        total_steps=total,
+    )
+
+
+def regularizer_spec(cfg: TrainConfig) -> RegularizerSpec:
+    return RegularizerSpec(
+        scheme=cfg.scheme,
+        reg_coefficient=cfg.reg_coefficient,
+        exp_base=cfg.exp_base,
+        heaviside_threshold=cfg.heaviside_threshold,
+        heaviside_force=cfg.heaviside_force,
+    )
 
 
 def config_hash(cfg: TrainConfig) -> str:

@@ -13,8 +13,6 @@ import numpy as np
 
 from .config import ConfigError
 
-GENERATOR_NAMES = ("two_spirals", "gaussian_blobs", "checkerboard_2d", "sine_regression")
-
 
 @dataclass
 class Dataset:
@@ -111,6 +109,7 @@ _GENERATORS = {
     "checkerboard_2d": checkerboard_2d,
     "sine_regression": sine_regression,
 }
+GENERATOR_NAMES = tuple(_GENERATORS)
 
 
 def gen_dataset(name, size=1000, noise=None, seed=0, classes=4, separation=5.0) -> Dataset:

@@ -13,14 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, TrainConfig, config_hash, with_overrides
+from .config import ConfigError, TrainConfig, config_hash, optimizer_for, regularizer_spec, schedule_for, with_overrides
 from .datasets import Dataset, gen_dataset, load_csv_dataset
 from .model import ModelGraph, build_model, forward, group_norm_values, model_indexings
+# Optimizer is unused here; the benchmark's tracer hooks its step through this module
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
 # total_loss and softmax_cross_entropy are unused here; the benchmark's tracer wraps them here
@@ -30,10 +31,6 @@ from .tensor import Tensor, backward, softmax_cross_entropy
 SUMMARY_COLUMNS = (
     "scheme", "beta", "seed", "base_metric", "pruned_metric",
     "metric_drop", "speedup", "groups_removed", "total_groups",
-)
-METRICS_COLUMNS = (
-    "epoch", "step", "task_loss", "penalty_value", "total_loss",
-    "train_accuracy", "train_mae", "train_mse", "current_lr",
 )
 
 
@@ -60,6 +57,9 @@ class MetricsRecord:
     current_lr: float
 
 
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+
+
 @dataclass
 class TrainResult:
     model: ModelGraph
@@ -84,29 +84,6 @@ def dataset_for(cfg: TrainConfig) -> Dataset:
         seed=cfg.effective_data_seed,
         classes=cfg.classes,
         separation=cfg.separation,
-    )
-
-
-def regularizer_spec(cfg: TrainConfig) -> RegularizerSpec:
-    return RegularizerSpec(
-        scheme=cfg.scheme,
-        reg_coefficient=cfg.reg_coefficient,
-        exp_base=cfg.exp_base,
-        heaviside_threshold=cfg.heaviside_threshold,
-        heaviside_force=cfg.heaviside_force,
-    )
-
-
-def schedule_for(cfg: TrainConfig, steps_per_epoch: int) -> LrSchedule:
-    total = cfg.epochs * steps_per_epoch if cfg.schedule_unit == "step" else cfg.epochs
-    return LrSchedule(
-        kind=cfg.schedule,
-        milestones=cfg.milestones,
-        gamma=cfg.gamma,
-        step_size=cfg.step_size,
-        t_max=cfg.effective_t_max,
-        warmup_fraction=cfg.warmup_fraction,
-        total_steps=total,
     )
 
 
@@ -178,14 +155,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     module when each step runs, so hooks installed on the module from
     outside see every step.
     """
-    opt = Optimizer(
-        model.parameters(),
-        kind=cfg.optimizer,
-        lr=cfg.lr,
-        momentum=cfg.momentum,
-        betas=cfg.betas,
-        weight_decay=cfg.weight_decay,
-    )
+    opt = optimizer_for(cfg, model.parameters())
     n = dataset.train_x.shape[0]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
@@ -304,15 +274,7 @@ def write_metrics_csv(path, cfg: TrainConfig, metrics) -> None:
     lines = _header_lines(cfg)
     lines.append(",".join(METRICS_COLUMNS))
     for r in metrics:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.epoch, r.step, r.task_loss, r.penalty_value, r.total_loss,
-                    r.train_accuracy, r.train_mae, r.train_mse, r.current_lr,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(getattr(r, c)) for c in METRICS_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

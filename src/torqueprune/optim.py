@@ -52,7 +52,7 @@ class Optimizer:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        # moment buffers, allocated lazily to match each parameter's shape
+        # moment buffers, allocated here in each parameter's shape; only Adam and AdamW use the second
         self._velocity = [np.zeros_like(p.data) for p in self.params]
         self._second = [np.zeros_like(p.data) for p in self.params] if kind != "sgd_momentum" else None
 

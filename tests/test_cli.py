@@ -175,6 +175,30 @@ def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
     assert row.endswith("failed:ConfigError")
 
 
+def test_sweep_rejects_untrainable_schedule_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "gamma.cfg"
+    cfg.write_text(TOY + f"schedule = multistep\ngamma = 2\nout_dir = {tmp_path}/gamma\n")
+    assert main(["sweep", str(cfg), "--betas", "1e-4,1e-3"]) == 1
+    assert "gamma" in capsys.readouterr().err
+    assert not (tmp_path / "gamma" / "sweep.csv").exists()
+
+
+def test_pipeline_rejects_heaviside_sign_before_training(tmp_path, capsys, monkeypatch):
+    from torqueprune import harness
+
+    calls = []
+    real_train = harness.train
+    monkeypatch.setattr(harness, "train", lambda *a, **k: calls.append(1) or real_train(*a, **k))
+    cfg = tmp_path / "heavi.cfg"
+    cfg.write_text(
+        TOY.replace("scheme = exponential_etp", "scheme = heaviside")
+        + f"heaviside_threshold = -1\nheaviside_force = 1\nout_dir = {tmp_path}/heavi\n"
+    )
+    assert main(["pipeline", str(cfg)]) == 1
+    assert "heaviside_threshold" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_budget_pipeline_keeps_every_class_logit(tmp_path):
     # this budget plan used to remove a class logit, leaving a one-logit head
     cfg = tmp_path / "narrow.cfg"

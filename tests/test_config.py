@@ -113,6 +113,29 @@ def test_enum_validation_names_value():
         assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "key,lines",
+    [
+        ("gamma", "schedule = multistep\ngamma = 2"),
+        ("gamma", "schedule = step\ngamma = 2"),
+        ("milestones", "schedule = multistep\nmilestones = 5,2"),
+        ("step_size", "schedule = step\nstep_size = 0"),
+        ("warmup_fraction", "schedule = linear_warmup_decay\nwarmup_fraction = 1.5"),
+        ("betas", "betas = 1.5,0.9"),
+        ("heaviside_threshold", "scheme = heaviside\nheaviside_threshold = -1\nheaviside_force = 1"),
+        ("heaviside_force", "scheme = heaviside\nheaviside_threshold = 1\nheaviside_force = 0"),
+    ],
+    ids=[
+        "gamma_multistep", "gamma_step", "milestones", "step_size",
+        "warmup_fraction", "betas", "heaviside_threshold", "heaviside_force",
+    ],
+)
+def test_component_rules_fail_at_load(key, lines):
+    # the optimizer, schedule and regularizer own these rules; the config is rejected before any training
+    with pytest.raises(ConfigError, match=key):
+        parse_config(MINIMAL + lines + "\n")
+
+
 def test_tuple_keys():
     cfg = parse_config(MINIMAL + "milestones = 60,80\nbetas = 0.8,0.95\n")
     assert cfg.milestones == (60, 80)
