@@ -50,10 +50,10 @@ class TrainConfig:
     optimizer: str = "sgd_momentum"
     lr: float = 0.05
     momentum: float = 0.9
-    betas: tuple = (0.9, 0.999)
+    betas: tuple[float, float] = (0.9, 0.999)
     weight_decay: float = 0.0
     schedule: str = "constant"
-    milestones: tuple = (60, 80)
+    milestones: tuple[int, ...] = (60, 80)
     gamma: float = 0.1
     step_size: int = 30
     t_max: int = 0  # 0 means "use epochs"
@@ -93,36 +93,28 @@ class TrainConfig:
         return self.t_max if self.t_max > 0 else self.epochs
 
 
-_INT_KEYS = {
-    "dataset_size", "classes", "epochs", "batch_size", "step_size", "t_max",
-    "finetune_epochs", "seed", "data_seed", "indexing_seed", "log_norms_every",
-}
-_FLOAT_KEYS = {
-    "noise", "separation", "lr", "momentum", "weight_decay", "gamma",
-    "warmup_fraction", "reg_coefficient", "heaviside_threshold",
-    "heaviside_force", "prune_threshold", "prune_target",
-}
+_TYPES = {f.name: f.type for f in fields(TrainConfig)}  # annotation strings, e.g. "float | None"
+_FLOAT_KEYS = {key for key, kind in _TYPES.items() if "float" in kind}
 
 
 def _parse_value(key: str, raw: str):
+    kind = _TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "penalize_output":
+        if kind == "tuple[int, ...]":
+            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
+        if kind == "tuple[float, float]":
+            parts = tuple(float(p) for p in raw.split(","))
+            if len(parts) != 2:
+                raise ValueError("expected two comma-separated floats")
+            return parts
+        if kind == "bool":
             if raw not in ("true", "false"):
                 raise ValueError("expected true or false")
             return raw == "true"
-        if key == "exp_base":
-            return None if raw == "auto" else float(raw)
-        if key in ("milestones",):
-            return tuple(int(p) for p in raw.split(",") if p.strip() != "")
-        if key == "betas":
-            parts = [float(p) for p in raw.split(",")]
-            if len(parts) != 2:
-                raise ValueError("expected two comma-separated floats")
-            return tuple(parts)
+        if kind.startswith("int"):
+            return int(raw)
+        if kind.startswith("float"):
+            return None if key == "exp_base" and raw == "auto" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: cannot parse {raw!r} ({exc})") from None
     return raw  # string keys pass through
@@ -130,7 +122,6 @@ def _parse_value(key: str, raw: str):
 
 def parse_config(text: str) -> TrainConfig:
     """Parse flat key = value text into a validated TrainConfig."""
-    known = {f.name for f in fields(TrainConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -140,7 +131,7 @@ def parse_config(text: str) -> TrainConfig:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in known:
+        if key not in _TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
@@ -162,7 +153,7 @@ def load_config(path) -> TrainConfig:
 def validate_config(cfg: TrainConfig) -> None:
     if not cfg.arch:
         raise ConfigError("missing required config key 'arch'")
-    for key in sorted(_FLOAT_KEYS | {"exp_base", "betas"}):
+    for key in sorted(_FLOAT_KEYS):
         value = getattr(cfg, key)
         if value is not None and not np.isfinite(value).all():
             raise ConfigError(f"config key {key!r}: must be finite, got {value}")

@@ -23,7 +23,7 @@ from .datasets import Dataset, gen_dataset, load_csv_dataset
 from .model import ModelGraph, build_model, forward, group_norm_values, model_indexings
 # Optimizer is unused here; the benchmark's tracer hooks its step through this module
 from .optim import LrSchedule, Optimizer, lr_at
-from .pruner import accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
+from .pruner import UnreachableTargetError, accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
 # total_loss and softmax_cross_entropy are unused here; the benchmark's tracer wraps them here
 from .regularizers import RegularizerSpec, model_penalty, objective, penalty_weights, total_loss
 from .tensor import Tensor, backward, softmax_cross_entropy
@@ -422,36 +422,32 @@ def _pipeline(cfg: TrainConfig, dataset: Dataset, base: TrainResult, write: bool
 
 
 def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
-    """One pipeline per coefficient; failures become rows, the sweep survives.
+    """One pipeline per coefficient; only a coefficient's own failure becomes a row.
 
-    The base run never sees the coefficient (and ``out_dir`` is not part of
-    a run's identity), so every coefficient shares one trained base.
+    Every coefficient is checked before any training.  A coefficient's
+    ``NumericalAbort`` or ``UnreachableTargetError`` becomes a
+    ``failed:<Error>`` row; any other error, a base-run abort included,
+    fails the sweep as it fails a pipeline.  The base run never sees the
+    coefficient (and ``out_dir`` is not part of a run's identity), so every
+    coefficient shares one trained base.
     """
-    betas = list(betas)
-    if not betas:
+    subs = [
+        with_overrides(cfg, reg_coefficient=float(beta), out_dir=os.path.join(cfg.out_dir, f"beta_{beta:.6g}"))
+        for beta in betas
+    ]
+    if not subs:
         raise ConfigError("sweep needs a non-empty coefficient list")
-    base_failure = None
-    try:
-        dataset = dataset_for(cfg)
-        base = train(_base_config(cfg), dataset)
-    except (NumericalAbort, ValueError) as exc:
-        base_failure = exc
+    dataset = dataset_for(cfg)
+    base = train(_base_config(cfg), dataset)
     rows = []
-    for beta in betas:
-        sub = with_overrides(
-            cfg,
-            reg_coefficient=float(beta),
-            out_dir=os.path.join(cfg.out_dir, f"beta_{beta:.6g}"),
-        )
+    for sub in subs:
         try:
-            if base_failure is not None:
-                raise base_failure
             row = dict(_pipeline(sub, dataset, base, write).row)
             row["status"] = "ok"
-        except (NumericalAbort, ValueError) as exc:
+        except (NumericalAbort, UnreachableTargetError) as exc:
             row = {
                 "scheme": cfg.scheme,
-                "beta": float(beta),
+                "beta": sub.reg_coefficient,
                 "seed": cfg.seed,
                 "status": f"failed:{type(exc).__name__}",
             }

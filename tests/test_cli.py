@@ -170,9 +170,9 @@ def test_head_narrower_than_class_count_exit_1(tmp_path, capsys):
     )
     assert main(["train", str(cfg)]) == 1
     assert "4 classes" in capsys.readouterr().err
-    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
-    row = (tmp_path / "blobs" / "sweep.csv").read_text().splitlines()[-1]
-    assert row.endswith("failed:ConfigError")
+    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 1
+    assert "4 classes" in capsys.readouterr().err
+    assert not (tmp_path / "blobs" / "sweep.csv").exists()
 
 
 def test_sweep_rejects_untrainable_schedule_exit_1(tmp_path, capsys):
@@ -181,6 +181,56 @@ def test_sweep_rejects_untrainable_schedule_exit_1(tmp_path, capsys):
     assert main(["sweep", str(cfg), "--betas", "1e-4,1e-3"]) == 1
     assert "gamma" in capsys.readouterr().err
     assert not (tmp_path / "gamma" / "sweep.csv").exists()
+
+
+def test_sweep_checks_every_coefficient_before_training(tmp_path, capsys, monkeypatch):
+    from torqueprune import harness
+
+    calls = []
+    real_train = harness.train
+    monkeypatch.setattr(harness, "train", lambda *a, **k: calls.append(1) or real_train(*a, **k))
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text(TOY + f"out_dir = {tmp_path}/neg\n")
+    assert main(["sweep", str(cfg), "--betas", "1e-3,-1"]) == 1
+    assert "reg_coefficient" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "neg" / "beta_0.001").exists()
+    assert not (tmp_path / "neg" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "arch,csv,message",
+    [
+        ("mlp:2-4-2", "missing.csv", "cannot read dataset csv"),
+        ("cnn:1x4x4:conv4k5s1p0-dense2", "wide.csv", "exceeds padded input"),
+    ],
+    ids=["missing_csv", "conv_geometry"],
+)
+def test_sweep_setup_error_exit_1_without_sweep_csv(tmp_path, capsys, arch, csv, message):
+    if csv == "wide.csv":  # 16 features, 40 rows
+        rng = np.random.default_rng(0)
+        np.savetxt(tmp_path / csv, np.column_stack([rng.uniform(-1, 1, (40, 16)), np.arange(40) % 2]), delimiter=",")
+    cfg = tmp_path / "setup.cfg"
+    cfg.write_text(
+        f"arch = {arch}\ndataset = csv:{tmp_path / csv}\ndataset_size = 30\nepochs = 1\n"
+        f"scheme = l1\nout_dir = {tmp_path}/setup\n"
+    )
+    assert main(["pipeline", str(cfg)]) == 1
+    pipeline_err = capsys.readouterr().err
+    assert message in pipeline_err
+    assert main(["sweep", str(cfg), "--betas", "1e-3,1e-4"]) == 1
+    assert capsys.readouterr().err == pipeline_err
+    assert not (tmp_path / "setup" / "sweep.csv").exists()
+
+
+def test_sweep_base_abort_exit_2_without_sweep_csv(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    diverging = TOY.replace("lr = 0.1", "lr = 1e8").replace("epochs = 3", "epochs = 8")
+    cfg.write_text(diverging + f"out_dir = {tmp_path}/diverge\n")
+    with np.errstate(all="ignore"):
+        assert main(["sweep", str(cfg), "--betas", "1e-4,1e-3"]) == 2
+    assert "non-finite loss" in capsys.readouterr().err
+    assert not (tmp_path / "diverge" / "sweep.csv").exists()
 
 
 def test_pipeline_rejects_heaviside_sign_before_training(tmp_path, capsys, monkeypatch):
@@ -251,10 +301,11 @@ def test_bad_csv_value_exit_1(tmp_path, capsys, column, value, message):
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(f"arch = mlp:2-4-2\ndataset = csv:{csv}\nepochs = 1\nout_dir = {tmp_path}/csv\n")
     assert main(["train", str(cfg)]) == 1
-    assert message in capsys.readouterr().err
-    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 0
-    out_row = (tmp_path / "csv" / "sweep.csv").read_text().splitlines()[-1]
-    assert out_row.endswith("failed:ConfigError")
+    train_err = capsys.readouterr().err
+    assert message in train_err
+    assert main(["sweep", str(cfg), "--betas", "1e-3"]) == 1
+    assert capsys.readouterr().err == train_err
+    assert not (tmp_path / "csv" / "sweep.csv").exists()
 
 
 def _truncate(part):

@@ -450,11 +450,19 @@ def test_sweep_trains_one_shared_base(monkeypatch):
     assert schemes.count("none") == 1
 
 
-def test_sweep_base_abort_fails_every_row():
+def test_sweep_base_abort_raises():
     cfg = with_overrides(toy_config("scheme = l1\n"), lr=1e8, epochs=8)
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort):
+        sweep(cfg, [1e-4, 1e-3], write=False)
+
+
+def test_sweep_coefficient_abort_is_a_row():
+    cfg = parse_config(
+        "arch = mlp:2-8-2\ndataset = two_spirals\ndataset_size = 100\nepochs = 3\nscheme = exponential_etp\n"
+    )
     with np.errstate(all="ignore"):
-        rows = sweep(cfg, [1e-4, 1e-3], write=False)
-    assert [r["status"] for r in rows] == ["failed:NumericalAbort"] * 2
+        rows = sweep(cfg, [1e-3, 1e200], write=False)
+    assert [(r["beta"], r["status"]) for r in rows] == [(1e-3, "ok"), (1e200, "failed:NumericalAbort")]
 
 
 def test_sweep_empty_grid_rejected():
