@@ -12,6 +12,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, load_config, with_overrides
 from .harness import (
     NumericalAbort,
@@ -171,7 +173,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a diverging run reports its NumericalAbort, not numpy's warnings
+            return _COMMANDS[args.command](args)
     except UnreachableTargetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

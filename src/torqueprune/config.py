@@ -165,7 +165,7 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"config key 'batch_size': must be >= 1, got {cfg.batch_size}")
     if cfg.dataset_size < 1:
         raise ConfigError(f"config key 'dataset_size': must be >= 1, got {cfg.dataset_size}")
-    for key in ("seed", "data_seed", "indexing_seed"):
+    for key in ("seed", "data_seed", "indexing_seed", "finetune_epochs", "t_max"):  # t_max = 0 means epochs
         value = getattr(cfg, key)
         if value is not None and value < 0:
             raise ConfigError(f"config key {key!r}: must be >= 0, got {value}")
@@ -173,8 +173,6 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"config key 'noise': must be >= 0, got {cfg.noise}")
     if cfg.log_norms_every < 1:
         raise ConfigError(f"config key 'log_norms_every': must be >= 1, got {cfg.log_norms_every}")
-    if cfg.finetune_epochs < 0:
-        raise ConfigError(f"config key 'finetune_epochs': must be >= 0, got {cfg.finetune_epochs}")
     if cfg.schedule_unit not in SCHEDULE_UNITS:
         raise ConfigError(f"config key 'schedule_unit': {cfg.schedule_unit!r} not in {SCHEDULE_UNITS}")
     if cfg.prune_mode not in PRUNE_MODES:

@@ -437,6 +437,12 @@ def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
     ]
     if not subs:
         raise ConfigError("sweep needs a non-empty coefficient list")
+    owners = {}  # out_dir -> the first coefficient's config that writes there
+    for sub in subs:
+        first = owners.setdefault(sub.out_dir, sub)
+        if first is not sub:
+            betas = f"{first.reg_coefficient!r} and {sub.reg_coefficient!r}"
+            raise ConfigError(f"sweep coefficients {betas} would both write to {sub.out_dir!r}")
     dataset = dataset_for(cfg)
     base = train(_base_config(cfg), dataset)
     rows = []

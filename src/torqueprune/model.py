@@ -145,6 +145,8 @@ class GroupedLayer:
     bias: Tensor | None
     stride: int = 1
     padding: int = 0
+    activation: str = "none"  # applied after the layer: "relu" | "none"
+    pool: bool = False  # 2x2 average pool after the activation (conv only)
 
     @property
     def group_count(self) -> int:
@@ -178,8 +180,6 @@ class GroupIndexing:
 @dataclass
 class ModelGraph:
     layers: list[GroupedLayer]
-    activations: list[str]  # applied after each layer: "relu" | "none"
-    pools: list[bool]  # 2x2 average pool after the activation
     input_shape: tuple[int, ...]
     # couplings[l]: how many inputs of layer l+1 one group of layer l feeds:
     # H*W when a conv feeds a dense layer (the flatten is channel-major, so
@@ -208,18 +208,18 @@ class ModelGraph:
     def validate(self) -> None:
         if not self.layers:
             raise ConstructionError("a model needs at least one layer")
-        if len(self.layers) != len(self.activations) or len(self.layers) != len(self.pools):
-            raise ConstructionError("layers, activations and pools must align")
-        for i, (layer, act, pool) in enumerate(zip(self.layers, self.activations, self.pools)):
+        if min(self.input_shape, default=0) < 1:
+            raise ConstructionError(f"input_shape must be one or more positive integers, got {self.input_shape}")
+        for i, layer in enumerate(self.layers):
             if layer.kind not in _WEIGHT_DIMS:
                 raise ConstructionError(f"layer {i} has unknown kind {layer.kind!r}")
             if len(layer.weight.shape) != _WEIGHT_DIMS[layer.kind] or min(layer.weight.shape) < 1:
                 raise ConstructionError(f"layer {i} ({layer.kind}) has a weight of shape {layer.weight.shape}")
-            if act not in ("relu", "none"):
-                raise ConstructionError(f"layer {i} has unknown activation {act!r}")
-            if type(pool) is not bool:
-                raise ConstructionError(f"layer {i} pool must be true or false, got {pool!r:.60}")
-            if pool and layer.kind != "conv2d":
+            if layer.activation not in ("relu", "none"):
+                raise ConstructionError(f"layer {i} has unknown activation {layer.activation!r}")
+            if type(layer.pool) is not bool:
+                raise ConstructionError(f"layer {i} pool must be true or false, got {layer.pool!r:.60}")
+            if layer.pool and layer.kind != "conv2d":
                 raise ConstructionError(f"layer {i} ({layer.kind}) cannot pool; only conv layers do")
             if layer.bias is not None and layer.bias.shape != (layer.group_count,):
                 raise ConstructionError(f"layer {i} bias {layer.bias.shape} does not match {layer.group_count} groups")
@@ -229,7 +229,7 @@ class ModelGraph:
 
     def to_dict(self) -> dict:
         layers = []
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             layers.append(
                 {
                     "kind": layer.kind,
@@ -239,8 +239,8 @@ class ModelGraph:
                     else {"shape": list(layer.bias.shape), "data": layer.bias.data.tolist()},
                     "stride": layer.stride,
                     "padding": layer.padding,
-                    "activation": self.activations[i],
-                    "pool": self.pools[i],
+                    "activation": layer.activation,
+                    "pool": layer.pool,
                 }
             )
         return {"format": "torqueprune-model-v1", "input_shape": list(self.input_shape), "layers": layers}
@@ -251,15 +251,13 @@ class ModelGraph:
             raise ConstructionError(f"a checkpoint is a JSON object, not {type(d).__name__}")
         if d.get("format") != "torqueprune-model-v1":
             raise ConstructionError(f"unsupported checkpoint format {d.get('format')!r}")
-        layers, acts, pools = [], [], []
+        layers = []
         for i, entry in enumerate(d["layers"]):
             weight = _checkpoint_tensor(entry["weight"], f"layer {i} weight")
             bias = None if entry["bias"] is None else _checkpoint_tensor(entry["bias"], f"layer {i} bias")
             stride, padding = _checkpoint_ints([entry["stride"], entry["padding"]], f"layer {i} stride and padding")
-            layers.append(GroupedLayer(entry["kind"], weight, bias, stride, padding))
-            acts.append(entry["activation"])
-            pools.append(entry["pool"])
-        return cls(layers, acts, pools, tuple(_checkpoint_ints(d["input_shape"], "input_shape")))
+            layers.append(GroupedLayer(entry["kind"], weight, bias, stride, padding, entry["activation"], entry["pool"]))
+        return cls(layers, tuple(_checkpoint_ints(d["input_shape"], "input_shape")))
 
 
 def _checkpoint_ints(values, what: str) -> list:
@@ -295,7 +293,7 @@ def _conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int
     return (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
 
 
-def _layer_out_shape(shape, layer: GroupedLayer, pool: bool) -> tuple[int, ...]:
+def _layer_out_shape(shape, layer: GroupedLayer) -> tuple[int, ...]:
     """Shape after one layer (activation and pool included) from its input shape; dense flattens."""
     weight_shape = layer.weight.shape
     if layer.kind == "dense":
@@ -308,7 +306,7 @@ def _layer_out_shape(shape, layer: GroupedLayer, pool: bool) -> tuple[int, ...]:
     if shape[0] != weight_shape[1]:
         raise ConstructionError(f"conv expects {weight_shape[1]} input channels, got {shape[0]}")
     h, w = _conv_out_hw(shape[1], shape[2], weight_shape[2], layer.stride, layer.padding)
-    if pool:
+    if layer.pool:
         if h % 2 or w % 2:
             raise ConstructionError(f"pool needs even spatial dims, got {h}x{w}")
         h, w = h // 2, w // 2
@@ -319,8 +317,8 @@ def layer_output_shapes(model: ModelGraph) -> list[tuple[int, ...]]:
     """Shape after each layer (activation and pool included), batch axis excluded."""
     shape = model.input_shape
     out = []
-    for layer, pool in zip(model.layers, model.pools):
-        shape = _layer_out_shape(shape, layer, pool)
+    for layer in model.layers:
+        shape = _layer_out_shape(shape, layer)
         out.append(shape)
     return out
 
@@ -332,7 +330,6 @@ def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:
     rng = np.random.default_rng(seed)
 
     layers: list[GroupedLayer] = []
-    acts: list[str] = []
     shape = tuple(arch.input_shape)
     for pos, spec in enumerate(arch.layers):
         if spec.kind == "conv2d":
@@ -345,10 +342,10 @@ def build_model(arch: ArchSpec | str, seed: int = 0) -> ModelGraph:
         bound = np.sqrt(6.0 / fan_in)
         weight = Tensor(rng.uniform(-bound, bound, weight_shape), requires_grad=True)
         bias = Tensor(rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), spec.out), requires_grad=True)
-        layers.append(GroupedLayer(spec.kind, weight, bias, spec.stride, spec.padding))
-        acts.append("none" if pos == len(arch.layers) - 1 else "relu")
-        shape = _layer_out_shape(shape, layers[-1], spec.pool)
-    return ModelGraph(layers, acts, [spec.pool for spec in arch.layers], tuple(arch.input_shape))
+        act = "none" if pos == len(arch.layers) - 1 else "relu"
+        layers.append(GroupedLayer(spec.kind, weight, bias, spec.stride, spec.padding, act, spec.pool))
+        shape = _layer_out_shape(shape, layers[-1])
+    return ModelGraph(layers, tuple(arch.input_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +401,7 @@ def forward(model: ModelGraph, batch: Tensor) -> Tensor:
     x = batch.data
     flowing = batch.requires_grad  # whether the current layer's input needs a gradient
     saved = []
-    for layer, act, pool in zip(model.layers, model.activations, model.pools):
+    for layer in model.layers:
         shape = x.shape
         b = None if layer.bias is None else layer.bias.data
         if layer.kind == "conv2d":
@@ -415,15 +412,15 @@ def forward(model: ModelGraph, batch: Tensor) -> Tensor:
             if len(shape) > 2:
                 x = x.reshape(shape[0], math.prod(shape[1:]))
             out = linear_fwd(x, layer.weight.data, b)
-        saved.append((layer, act, pool, shape, x, out, flowing))
+        saved.append((layer, shape, x, out, flowing))
         flowing = flowing or layer.weight.requires_grad or (b is not None and layer.bias.requires_grad)
-        x = relu_fwd(out) if act == "relu" else out
-        x = avg_pool2x2_fwd(x) if pool else x
+        x = relu_fwd(out) if layer.activation == "relu" else out
+        x = avg_pool2x2_fwd(x) if layer.pool else x
 
     def bwd(g):
-        for layer, act, pool, shape, x, out, need_x in reversed(saved):
-            g = avg_pool2x2_bwd(g) if pool else g
-            if act == "relu":
+        for layer, shape, x, out, need_x in reversed(saved):
+            g = avg_pool2x2_bwd(g) if layer.pool else g
+            if layer.activation == "relu":
                 g = relu_bwd(g, out)
             if layer.kind == "conv2d":
                 gb = None if layer.bias is None else bias_add_bwd(g)

@@ -117,6 +117,8 @@ class LrSchedule:
             raise ContractError(f"gamma must lie in (0, 1], got {self.gamma}")
         if self.kind == "multistep" and list(self.milestones) != sorted(self.milestones):
             raise ContractError(f"milestones must be sorted, got {self.milestones}")
+        if self.kind == "multistep" and min(self.milestones, default=0) < 0:
+            raise ContractError(f"milestones must be non-negative, got {self.milestones}")
         if self.kind == "step" and self.step_size < 1:
             raise ContractError(f"step_size must be >= 1, got {self.step_size}")
         if self.kind == "cosine" and self.t_max < 1:

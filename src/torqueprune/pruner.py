@@ -10,17 +10,11 @@ better).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ConstructionError,
-    GroupedLayer,
-    ModelGraph,
-    group_norm_values,
-    layer_output_shapes,
-)
+from .model import ConstructionError, ModelGraph, group_norm_values, layer_output_shapes
 from .tensor import ContractError, Tensor
 
 __all__ = [
@@ -82,10 +76,10 @@ def _layer_macs(model: ModelGraph, removed: np.ndarray) -> np.ndarray:
     K^2 * H_out * W_out in a conv.  Biases, activations and pooling are excluded.
     """
     pair = []
-    for layer, pool, shape in zip(model.layers, model.pools, layer_output_shapes(model)):
+    for layer, shape in zip(model.layers, layer_output_shapes(model)):
         if layer.kind == "conv2d":
             # the shape is taken after the 2x2 pool, which halves each side
-            pair.append(layer.weight.shape[2] ** 2 * shape[1] * shape[2] * (4 if pool else 1))
+            pair.append(layer.weight.shape[2] ** 2 * shape[1] * shape[2] * (4 if layer.pool else 1))
         else:
             pair.append(1)
     groups = np.array([layer.group_count for layer in model.layers])
@@ -211,13 +205,7 @@ def apply_plan(model: ModelGraph, plan: PrunePlan) -> ModelGraph:
         # each removed group of layer l-1 takes couplings[l-1] inputs of layer l
         # with it; selecting the rows last copies into a fresh C-ordered array
         cols = np.repeat(keep[l - 1], model.couplings[l - 1]) if l else slice(None)
-        w = layer.weight.data[:, cols][keep[l]]
+        w = Tensor(layer.weight.data[:, cols][keep[l]], requires_grad=True)
         bias = None if layer.bias is None else Tensor(layer.bias.data[keep[l]], requires_grad=True)
-        new_layers.append(GroupedLayer(layer.kind, Tensor(w, requires_grad=True), bias, layer.stride, layer.padding))
-
-    return ModelGraph(
-        layers=new_layers,
-        activations=list(model.activations),
-        pools=list(model.pools),
-        input_shape=tuple(model.input_shape),
-    )
+        new_layers.append(replace(layer, weight=w, bias=bias))
+    return ModelGraph(new_layers, tuple(model.input_shape))

@@ -194,7 +194,7 @@ def forward_reference(model: ModelGraph, batch: Tensor) -> Tensor:
     if batch.shape[1:] != expected:
         raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
     x = batch
-    for layer, act, pool in zip(model.layers, model.activations, model.pools):
+    for layer in model.layers:
         if layer.kind == "dense" and len(x.shape) > 2:
             x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
         if layer.kind == "conv2d":
@@ -203,8 +203,8 @@ def forward_reference(model: ModelGraph, batch: Tensor) -> Tensor:
                 x = bias_add(x, layer.bias)
         else:
             x = linear(x, layer.weight, layer.bias)
-        if act == "relu":
+        if layer.activation == "relu":
             x = relu(x)
-        if pool:
+        if layer.pool:
             x = avg_pool2x2(x)
     return x

@@ -198,6 +198,44 @@ def test_sweep_checks_every_coefficient_before_training(tmp_path, capsys, monkey
     assert not (tmp_path / "neg" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("betas", ["1e-7,1.0000001e-7", "1e-3,1e-3"], ids=["same_name", "duplicate"])
+def test_sweep_coefficients_sharing_a_directory_exit_1(tmp_path, capsys, monkeypatch, betas):
+    # both coefficients format to one beta_{:.6g} directory, where the second would overwrite the first
+    from torqueprune import harness
+
+    calls = []
+    real_train = harness.train
+    monkeypatch.setattr(harness, "train", lambda *a, **k: calls.append(1) or real_train(*a, **k))
+    cfg = tmp_path / "twin.cfg"
+    cfg.write_text(TOY + f"out_dir = {tmp_path}/twin\n")
+    assert main(["sweep", str(cfg), "--betas", betas]) == 1
+    err = capsys.readouterr().err
+    assert all(repr(float(beta)) in err for beta in betas.split(","))
+    assert calls == []
+    assert not list(tmp_path.glob("twin/beta_*"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_aborted_run_prints_only_its_error_line(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    diverging = TOY.replace("lr = 0.1", "lr = 1e8").replace("epochs = 3", "epochs = 8")
+    cfg.write_text(diverging + f"out_dir = {tmp_path}/diverge\n")
+    assert main(["pipeline", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: non-finite loss nan at epoch 6, step 22\n"
+
+
+def test_arch_wider_than_dataset_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(TOY.replace("mlp:2-16-2", "mlp:3-8-2") + f"out_dir = {tmp_path}/wide\n")
+    assert main(["train", str(cfg)]) == 1
+    assert "consumes 3 features" in capsys.readouterr().err
+
+
+def test_prune_missing_checkpoint_exit_1(toy_cfg, tmp_path, capsys):
+    assert main(["prune", toy_cfg, "--checkpoint", str(tmp_path / "absent.json")]) == 1
+    assert "cannot read checkpoint" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "arch,csv,message",
     [
@@ -374,6 +412,7 @@ MALFORMED = {
     "top_level_list": lambda record: "[]",
     "top_level_string": lambda record: '"x"',
     "float_input_shape": _cnn_input_shape([1, 6.5, 6]),
+    "empty_input_shape": lambda record: record.update(build_model("mlp:1-3-2", seed=0).to_dict(), input_shape=[]),
     "nan_weight": _set_value("weight", float("nan")),
     "infinite_bias": _set_value("bias", float("inf")),
     "bool_stride": lambda record: record["layers"][0].update(stride=True),

@@ -99,6 +99,12 @@ def test_bounds_validation():
             parse_config(MINIMAL + line + "\n")
 
 
+@pytest.mark.parametrize("line", ["t_max = -5", "finetune_epochs = -1", "prune_threshold = -1"])
+def test_negative_bound_fails_at_load(line):
+    with pytest.raises(ConfigError, match=line.split()[0]):
+        parse_config(MINIMAL + line + "\n")
+
+
 def test_enum_validation_names_value():
     for line, fragment in [
         ("optimizer = lbfgs", "lbfgs"),
@@ -119,6 +125,7 @@ def test_enum_validation_names_value():
         ("gamma", "schedule = multistep\ngamma = 2"),
         ("gamma", "schedule = step\ngamma = 2"),
         ("milestones", "schedule = multistep\nmilestones = 5,2"),
+        ("milestones", "schedule = multistep\nmilestones = -3,2"),
         ("step_size", "schedule = step\nstep_size = 0"),
         ("warmup_fraction", "schedule = linear_warmup_decay\nwarmup_fraction = 1.5"),
         ("betas", "betas = 1.5,0.9"),
@@ -126,7 +133,7 @@ def test_enum_validation_names_value():
         ("heaviside_force", "scheme = heaviside\nheaviside_threshold = 1\nheaviside_force = 0"),
     ],
     ids=[
-        "gamma_multistep", "gamma_step", "milestones", "step_size",
+        "gamma_multistep", "gamma_step", "milestones", "milestones_negative", "step_size",
         "warmup_fraction", "betas", "heaviside_threshold", "heaviside_force",
     ],
 )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from torqueprune.config import ConfigError, parse_config, with_overrides
+from torqueprune.config import ConfigError, parse_config, schedule_for, with_overrides
 from torqueprune import harness
 from torqueprune.harness import (
     METRICS_COLUMNS,
@@ -15,11 +15,13 @@ from torqueprune.harness import (
     evaluate,
     finetune,
     load_checkpoint,
+    penalized_layers,
     run_pipeline,
     sweep,
     train,
 )
 from torqueprune.model import build_model, group_norm_values, model_indexings
+from torqueprune.optim import lr_at
 from torqueprune.regularizers import distance_weight
 from torqueprune.pruner import UnreachableTargetError, count_macs
 from torqueprune.tensor import Tensor
@@ -66,6 +68,26 @@ def test_metrics_identity_every_row():
     for r in result.metrics:
         assert abs(r.total_loss - (r.task_loss + cfg.reg_coefficient * r.penalty_value)) <= 1e-9
         assert r.penalty_value > 0.0
+
+
+def test_step_schedule_unit_logs_each_epochs_last_step_lr():
+    schedule = "schedule = linear_warmup_decay\nwarmup_fraction = 0.2\n"
+    by_step = train(toy_config(schedule + "schedule_unit = step\n"))
+    by_epoch = train(toy_config(schedule))
+    steps_per_epoch = -(-by_step.dataset.train_x.shape[0] // by_step.config.batch_size)
+    sched = schedule_for(by_step.config, steps_per_epoch)
+    assert sched.total_steps == 3 * steps_per_epoch
+    for record in by_step.metrics:
+        assert record.current_lr == lr_at(sched, by_step.config.lr, record.step - 1)
+    assert [r.current_lr for r in by_step.metrics] != [r.current_lr for r in by_epoch.metrics]
+
+
+def test_penalize_output_from_config_text_penalizes_the_output_layer():
+    cfg = toy_config("penalize_output = true\n")
+    model = build_model(cfg.arch)
+    assert cfg.penalize_output is True
+    assert penalized_layers(cfg, model) == [0, 1]
+    assert penalized_layers(toy_config(), model) == [0]
 
 
 def test_inactive_regularizer_matches_none_exactly():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,12 +155,7 @@ def test_group_norm_values_matches_op():
 
 
 def test_forward_identity_network():
-    eye = ModelGraph(
-        layers=[dense_layer(np.eye(3)), dense_layer(np.eye(3))],
-        activations=["none", "none"],
-        pools=[False, False],
-        input_shape=(3,),
-    )
+    eye = ModelGraph(layers=[dense_layer(np.eye(3)), dense_layer(np.eye(3))], input_shape=(3,))
     assert eye.couplings == [1]
     x = np.random.default_rng(0).uniform(-1, 1, (5, 3))
     out = forward(eye, Tensor(x))
@@ -189,11 +186,9 @@ def test_forward_zeroed_group_matches_structural_absence():
     keep = [0, 2, 3]
     small = ModelGraph(
         layers=[
-            dense_layer(model.layers[0].weight.data[keep], model.layers[0].bias.data[keep]),
+            replace(dense_layer(model.layers[0].weight.data[keep], model.layers[0].bias.data[keep]), activation="relu"),
             dense_layer(model.layers[1].weight.data[:, keep], model.layers[1].bias.data),
         ],
-        activations=["relu", "none"],
-        pools=[False, False],
         input_shape=(2,),
     )
     x = Tensor(np.random.default_rng(3).uniform(-1, 1, (10, 2)))
