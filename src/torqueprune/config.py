@@ -56,7 +56,7 @@ class TrainConfig:
     milestones: tuple[int, ...] = (60, 80)
     gamma: float = 0.1
     step_size: int = 30
-    t_max: int = 0  # 0 means "use epochs"
+    t_max: int = 0  # 0 means the whole run, in the schedule's unit
     warmup_fraction: float = 0.1
     schedule_unit: str = "epoch"
     # regularizer
@@ -87,10 +87,6 @@ class TrainConfig:
     @property
     def effective_indexing_seed(self) -> int:
         return self.seed if self.indexing_seed is None else self.indexing_seed
-
-    @property
-    def effective_t_max(self) -> int:
-        return self.t_max if self.t_max > 0 else self.epochs
 
 
 _TYPES = {f.name: f.type for f in fields(TrainConfig)}  # annotation strings, e.g. "float | None"
@@ -165,7 +161,7 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError(f"config key 'batch_size': must be >= 1, got {cfg.batch_size}")
     if cfg.dataset_size < 1:
         raise ConfigError(f"config key 'dataset_size': must be >= 1, got {cfg.dataset_size}")
-    for key in ("seed", "data_seed", "indexing_seed", "finetune_epochs", "t_max"):  # t_max = 0 means epochs
+    for key in ("seed", "data_seed", "indexing_seed", "finetune_epochs", "t_max"):  # t_max = 0 means the whole run
         value = getattr(cfg, key)
         if value is not None and value < 0:
             raise ConfigError(f"config key {key!r}: must be >= 0, got {value}")
@@ -224,7 +220,7 @@ def schedule_for(cfg: TrainConfig, steps_per_epoch: int) -> LrSchedule:
         milestones=cfg.milestones,
         gamma=cfg.gamma,
         step_size=cfg.step_size,
-        t_max=cfg.effective_t_max,
+        t_max=cfg.t_max or total,
         warmup_fraction=cfg.warmup_fraction,
         total_steps=total,
     )

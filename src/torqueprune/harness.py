@@ -24,9 +24,8 @@ from .model import ModelGraph, build_model, forward, group_norm_values, model_in
 # Optimizer is unused here; the benchmark's tracer hooks its step through this module
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import UnreachableTargetError, accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
-# total_loss and softmax_cross_entropy are unused here; the benchmark's tracer wraps them here
-from .regularizers import RegularizerSpec, model_penalty, objective, penalty_weights, total_loss
-from .tensor import Tensor, backward, softmax_cross_entropy
+from .regularizers import RegularizerSpec, model_penalty, penalty_weights, total_loss, weighted_penalty
+from .tensor import Tensor, backward, mse_loss, softmax_cross_entropy
 
 SUMMARY_COLUMNS = (
     "scheme", "beta", "seed", "base_metric", "pruned_metric",
@@ -101,7 +100,7 @@ def penalized_layers(cfg: TrainConfig, model: ModelGraph) -> list[int]:
 
 def penalty_value(spec: RegularizerSpec, model: ModelGraph, indexings, layers=None) -> float:
     """The penalty as a number; training logs the same value from each step's loss graph."""
-    # kept by name as a one-line view: perfbench's timing hooks wrap it
+    # training does not call it; kept by name because the benchmark's timing hooks wrap it
     return model_penalty(spec, model, indexings, layers).item()
 
 
@@ -120,6 +119,8 @@ def _check_dims(model: ModelGraph, dataset: Dataset) -> None:
     outputs = model.layers[-1].group_count
     if dataset.task == "classification" and outputs < dataset.n_classes:
         raise ConfigError(f"architecture has {outputs} outputs but dataset has {dataset.n_classes} classes")
+    if dataset.task == "regression" and outputs != dataset.train_y.shape[1]:
+        raise ConfigError(f"architecture has {outputs} outputs but dataset has {dataset.train_y.shape[1]} targets")
 
 
 class NormSnapshot(NamedTuple):
@@ -148,12 +149,12 @@ def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float,
 def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
     """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
 
-    Each step builds two graph nodes: the layer stack (``forward``) and the
-    objective, task loss + beta * penalty, whose penalty uses distance
-    weights computed once per run; it logs the task and penalty values the
-    objective returns.  ``forward`` and ``backward`` are looked up in this
-    module when each step runs, so hooks installed on the module from
-    outside see every step.
+    Each step composes the library's training loss, ``total_loss`` over the
+    task loss and ``weighted_penalty`` (distance weights computed once per
+    run), and logs both operands' values.  ``backward`` walks two nodes: the
+    layer stack (``forward``) and ``total_loss``, or the task node when the
+    penalty is off.  The step looks its functions up in this module, so hooks
+    installed on the module from outside see every step.
     """
     opt = optimizer_for(cfg, model.parameters())
     n = dataset.train_x.shape[0]
@@ -173,7 +174,9 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             x = _batch_input(dataset.train_x[idx], model.input_shape)
             y = dataset.train_y[idx]
             out = forward(model, x)
-            loss, task, pen = objective(out, y, classification, spec, model, weights)
+            task = softmax_cross_entropy(out, y) if classification else mse_loss(out, Tensor(y))
+            pen = weighted_penalty(model, weights)
+            loss = total_loss(task, spec, pen)
             hits, abs_err, sq_err = _score(out.data, y, classification)
             correct += hits
             abs_sum += abs_err
@@ -181,8 +184,8 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericalAbort(epoch, step, value)
-            task_sum += task * len(idx)
-            pen_sum += pen * len(idx)
+            task_sum += task.item() * len(idx)
+            pen_sum += pen.item() * len(idx)
             backward(loss)
             opt.step()
             step += 1

@@ -16,8 +16,8 @@ import numpy as np
 from .tensor import ShapeError, Tensor, _from_op, group_norm_array, linear_bwd, linear_fwd, relu_bwd, relu_fwd
 from .tensor import avg_pool2x2_bwd, avg_pool2x2_fwd, bias_add_bwd, bias_add_fwd, conv2d_bwd, conv2d_fwd
 
-# Unused here since ``forward`` runs their kernels: the benchmark's op tracer
-# wraps these ops by name here, and regularizers looks up ``group_norms`` here.
+# Unused here since ``forward`` runs their kernels and the penalty runs the
+# group-norm kernels: the benchmark's op tracer wraps these ops by name here.
 from .tensor import avg_pool2x2, bias_add, conv2d, group_norms, matmul, relu, reshape, transpose
 
 __all__ = [

@@ -21,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as _model
 from .model import GroupIndexing, GroupedLayer, ModelGraph
-from .tensor import ContractError, Tensor, _from_op, add, group_norms_bwd, group_norms_fwd, mse_loss_bwd, mse_loss_fwd
-from .tensor import scale, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd, weighted_sum
+from .tensor import ContractError, ShapeError, Tensor, _from_op, group_norms_bwd, group_norms_fwd
+
+# Unused here since the penalty and ``total_loss`` are single nodes: the
+# benchmark's op tracer wraps these ops by name here.
+from .tensor import add, scale, weighted_sum
 
 __all__ = [
     "SCHEMES",
@@ -37,7 +39,6 @@ __all__ = [
     "penalty_weights",
     "weighted_penalty",
     "total_loss",
-    "objective",
 ]
 
 SCHEMES = ("linear_torque", "heaviside", "exponential_etp", "l1", "none")
@@ -52,7 +53,7 @@ class RegularizerSpec:
 
     ``exp_base`` of ``None`` means the per-layer default exp(5/G); setting a
     value overrides it globally (ablation switch).  ``reg_coefficient`` is
-    the multiplier applied to the whole penalty in the training objective.
+    the multiplier applied to the whole penalty in the training loss.
     """
 
     scheme: str = "none"
@@ -120,16 +121,36 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
     return _scheme_weights(spec, indexing.distances.astype(np.float64), layer.group_count)
 
 
-def _layer_penalty(layer: GroupedLayer, weights: np.ndarray) -> Tensor:
-    # looked up on ``model``, where the benchmark's op tracer wraps it
-    return weighted_sum(_model.group_norms(layer.weight, layer.bias), weights)
+def _penalty(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> Tensor:
+    """Sum of ``vdot(group norms, weights)`` over (layer, weights) pairs as one node; 0 when empty.
+
+    Terms add in order: value and gradients have the bits of ``add``-chained ``weighted_sum(group_norms(...))``.
+    """
+    if not pairs:
+        return Tensor(0.0)
+    value, terms = None, []
+    for layer, w in pairs:
+        bias = None if layer.bias is None else layer.bias.data
+        norms, inv = group_norms_fwd(layer.weight.data, bias)
+        value = np.vdot(norms, w) if value is None else value + np.vdot(norms, w)
+        terms.append((layer.weight.data, bias, w, inv))
+
+    def bwd(g):
+        for weight, bias, w, inv in terms:
+            gw, gb = group_norms_bwd(float(g) * w, inv, weight, bias)
+            yield gw
+            if bias is not None:
+                yield gb
+
+    parents = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
+    return _from_op(np.asarray(value), parents, "penalty", bwd)
 
 
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:
     """Differentiable sum over groups of norm * distance_weight for one layer."""
     if spec.scheme == "none":
         return Tensor(0.0)
-    return _layer_penalty(layer, _weights_for_layer(spec, layer, indexing))
+    return _penalty([(layer, _weights_for_layer(spec, layer, indexing))])
 
 
 def penalty_weights(
@@ -156,14 +177,8 @@ def penalty_weights(
 
 
 def weighted_penalty(model: ModelGraph, weights: list[tuple[int, np.ndarray]]) -> Tensor:
-    """Sum of layer penalties for weights from ``penalty_weights``; 0 when there are none."""
-    if not weights:
-        return Tensor(0.0)
-    total = None
-    for idx, w in weights:
-        term = _layer_penalty(model.layers[idx], w)
-        total = term if total is None else add(total, term)
-    return total
+    """Sum of layer penalties for weights from ``penalty_weights``, as one node; 0 when there are none."""
+    return _penalty([(model.layers[idx], w) for idx, w in weights])
 
 
 def model_penalty(
@@ -180,42 +195,23 @@ def model_penalty(
 
 
 def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Tensor:
-    """task_loss + reg_coefficient * penalty (from ``model_penalty``); exact pass-through when off."""
+    """task_loss + reg_coefficient * penalty as one node; exact pass-through when off.
+
+    The node's parents are both operands' parents (a leaf operand is its own
+    parent).  Its backward runs the task's rule with the incoming gradient,
+    then the penalty's with that gradient times reg_coefficient: the bits of
+    ``add(task_loss, scale(penalty, reg_coefficient))``.
+    """
     if spec.scheme == "none" or spec.reg_coefficient == 0.0:
         return task_loss
-    return add(task_loss, scale(penalty, spec.reg_coefficient))
-
-
-def objective(out: Tensor, target, classification: bool, spec: RegularizerSpec, model: ModelGraph, weights):
-    """(loss, task value, penalty value): the training loss task + beta * penalty as one node.
-
-    The task is softmax cross-entropy against integer labels (``classification``) or MSE against
-    ``target``; the penalty is ``weighted_penalty(model, weights)``, with the bits of ``total_loss``
-    over the two.  With scheme ``none`` or beta 0 the loss is the task alone; the penalty is still returned.
-    """
-    if classification:
-        task, logp, lab = softmax_cross_entropy_fwd(out.data, target)
-    else:
-        task, diff = mse_loss_fwd(out.data, np.asarray(target, dtype=np.float64))
-    pen, terms = 0.0, []
-    for idx, w in weights:
-        layer = model.layers[idx]
-        norms, inv = group_norms_fwd(layer.weight.data, None if layer.bias is None else layer.bias.data)
-        pen = pen + np.vdot(norms, w) if terms else np.vdot(norms, w)
-        terms.append((layer, w, inv))
-    beta = spec.reg_coefficient
-    active = spec.scheme != "none" and beta != 0.0
-    penalized = terms if active else []
+    if task_loss.shape != penalty.shape:
+        raise ShapeError(f"add: shapes {task_loss.shape} and {penalty.shape} differ")
+    beta = float(spec.reg_coefficient)
+    # (parents, rule) of each operand
+    task, pen = ((t._parents, t._bwd) if t._bwd is not None else ((t,), lambda g: (g,)) for t in (task_loss, penalty))
 
     def bwd(g):
-        yield softmax_cross_entropy_bwd(float(g), logp, lab) if classification else mse_loss_bwd(float(g), diff)
-        for layer, w, inv in penalized:
-            bias = None if layer.bias is None else layer.bias.data
-            gw, gb = group_norms_bwd(float(g * beta) * w, inv, layer.weight.data, bias)
-            yield gw
-            if bias is not None:
-                yield gb
+        yield from task[1](g)
+        yield from pen[1](g * beta)
 
-    parents = [out] + [p for layer, _, _ in penalized for p in (layer.weight, layer.bias) if p is not None]
-    loss = _from_op(np.asarray(task + pen * beta) if active else task, parents, "objective", bwd)
-    return loss, float(task), float(pen)
+    return _from_op(task_loss.data + penalty.data * beta, task[0] + pen[0], "total_loss", bwd)

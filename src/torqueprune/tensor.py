@@ -7,7 +7,7 @@ share nothing, so they may live on separate threads.
 
 Each layer op is a forward and a backward array kernel, ``<op>_fwd`` and
 ``<op>_bwd``; its ``Tensor`` op wraps the pair as one node, and larger nodes
-(``model.forward``, ``regularizers.objective``) call the same kernels.
+(``model.forward``, the penalty node of ``regularizers``) call the same kernels.
 
 Everything is float64.  Gradient checks against central differences at
 rtol 1e-5 are the correctness bar, and that is not reachable in float32.

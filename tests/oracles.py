@@ -3,11 +3,13 @@
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
 heaviside penalty, successor slices, convolution, relu, pooling, the dense
-layer, the rows of a norm snapshot) the slow and obvious way, so tests can
-hold the fast path to it.
+layer, the rows of a norm snapshot, the penalty and the training loss) the
+slow and obvious way, so tests can hold the fast path to it.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,15 +21,19 @@ from torqueprune.tensor import (
     ShapeError,
     Tensor,
     _from_op,
+    add,
     avg_pool2x2,
     bias_add,
     conv2d,
     group_norm_array,
+    group_norms,
     linear,
     matmul,
     relu,
     reshape,
+    scale,
     transpose,
+    weighted_sum,
 )
 
 
@@ -208,3 +214,16 @@ def forward_reference(model: ModelGraph, batch: Tensor) -> Tensor:
         if layer.pool:
             x = avg_pool2x2(x)
     return x
+
+
+def penalty_reference(model: ModelGraph, weights) -> Tensor:
+    """``weighted_penalty`` as one node per op: ``add``-chained ``weighted_sum(group_norms(w, b), weights)`` terms."""
+    terms = [weighted_sum(group_norms(model.layers[idx].weight, model.layers[idx].bias), w) for idx, w in weights]
+    return reduce(add, terms) if terms else Tensor(0.0)
+
+
+def loss_reference(task: Tensor, spec, pen: Tensor) -> Tensor:
+    """``total_loss`` as one node per op, ``add(task, scale(pen, beta))``; the task when the penalty is off."""
+    if spec.scheme == "none" or spec.reg_coefficient == 0.0:
+        return task
+    return add(task, scale(pen, spec.reg_coefficient))

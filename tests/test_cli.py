@@ -6,7 +6,9 @@ import pytest
 
 from torqueprune import cli
 from torqueprune.cli import build_parser, main
+from torqueprune.harness import load_checkpoint, save_checkpoint
 from torqueprune.model import build_model
+from torqueprune.pruner import PrunePlan, apply_plan
 
 TOY = """
 arch = mlp:2-16-2
@@ -77,6 +79,20 @@ def test_pipeline_rerun_byte_identical(toy_cfg, tmp_path):
     main(["pipeline", toy_cfg])
     second = {n: (out_dir / n).read_bytes() for n in os.listdir(out_dir)}
     assert first == second
+
+
+@pytest.mark.parametrize("mode", ["threshold", "budget"])
+def test_checkpoint_and_plan_reproduce_the_pruned_model(tmp_path, mode):
+    cfg = tmp_path / "toy.cfg"
+    cfg.write_text(TOY + f"prune_mode = {mode}\nprune_threshold = 0.5\nprune_target = 1.5\nout_dir = {tmp_path}/out\n")
+    assert main(["pipeline", str(cfg)]) == 0
+    out = tmp_path / "out"
+    record = json.loads((out / "plan.json").read_text())
+    removals = tuple(tuple(r) for r in record.pop("removals"))
+    plan = PrunePlan(removals=removals, **record)
+    assert plan.mode == mode and plan.removals  # the plan removes groups
+    save_checkpoint(tmp_path / "again.json", apply_plan(load_checkpoint(out / "model_regularized.json"), plan))
+    assert (tmp_path / "again.json").read_bytes() == (out / "model_pruned.json").read_bytes()
 
 
 def test_sweep_with_explicit_betas(toy_cfg, tmp_path, capsys):
@@ -222,6 +238,15 @@ def test_aborted_run_prints_only_its_error_line(tmp_path, capsys):
     cfg.write_text(diverging + f"out_dir = {tmp_path}/diverge\n")
     assert main(["pipeline", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: non-finite loss nan at epoch 6, step 22\n"
+
+
+def test_regression_head_not_matching_target_width_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "sine.cfg"
+    cfg.write_text(f"arch = mlp:1-8-2\ndataset = sine_regression\ndataset_size = 80\nout_dir = {tmp_path}/sine\n")
+    for command in ("train", "pipeline"):
+        assert main([command, str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: architecture has 2 outputs but dataset has 1 targets\n"
+    assert not (tmp_path / "sine").exists()
 
 
 def test_arch_wider_than_dataset_exit_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ from torqueprune.config import (
     config_hash,
     load_config,
     parse_config,
+    schedule_for,
     with_overrides,
 )
 
@@ -191,10 +192,11 @@ def test_effective_seed_fallbacks():
 
 
 def test_effective_t_max_falls_back_to_epochs():
-    cfg = parse_config(MINIMAL + "epochs = 30\n")
-    assert cfg.effective_t_max == 30
-    cfg2 = parse_config(MINIMAL + "epochs = 30\nt_max = 12\n")
-    assert cfg2.effective_t_max == 12
+    # t_max = 0 means the whole run, counted in the schedule's unit
+    for unit, total in (("epoch", 30), ("step", 30 * 4)):
+        cfg = parse_config(MINIMAL + f"epochs = 30\nschedule = cosine\nschedule_unit = {unit}\n")
+        assert schedule_for(cfg, 4).t_max == total
+        assert schedule_for(with_overrides(cfg, t_max=12), 4).t_max == 12
 
 
 def test_config_hash_stability():

@@ -71,15 +71,17 @@ def test_metrics_identity_every_row():
 
 
 def test_step_schedule_unit_logs_each_epochs_last_step_lr():
-    schedule = "schedule = linear_warmup_decay\nwarmup_fraction = 0.2\n"
-    by_step = train(toy_config(schedule + "schedule_unit = step\n"))
-    by_epoch = train(toy_config(schedule))
-    steps_per_epoch = -(-by_step.dataset.train_x.shape[0] // by_step.config.batch_size)
-    sched = schedule_for(by_step.config, steps_per_epoch)
-    assert sched.total_steps == 3 * steps_per_epoch
-    for record in by_step.metrics:
-        assert record.current_lr == lr_at(sched, by_step.config.lr, record.step - 1)
-    assert [r.current_lr for r in by_step.metrics] != [r.current_lr for r in by_epoch.metrics]
+    for schedule in ("schedule = linear_warmup_decay\nwarmup_fraction = 0.2\n", "schedule = cosine\n"):
+        by_step = train(toy_config(schedule + "schedule_unit = step\n"))
+        by_epoch = train(toy_config(schedule))
+        steps_per_epoch = -(-by_step.dataset.train_x.shape[0] // by_step.config.batch_size)
+        sched = schedule_for(by_step.config, steps_per_epoch)
+        assert sched.total_steps == 3 * steps_per_epoch
+        for record in by_step.metrics:
+            assert record.current_lr == lr_at(sched, by_step.config.lr, record.step - 1)
+        assert [r.current_lr for r in by_step.metrics] != [r.current_lr for r in by_epoch.metrics]
+        # each schedule spans the whole run in steps, so it reaches lr 0 only after the last step
+        assert all(r.current_lr > 0.0 for r in by_step.metrics)
 
 
 def test_penalize_output_from_config_text_penalizes_the_output_layer():

@@ -1,10 +1,12 @@
-"""The training step's two graph nodes: the layer stack (``forward``) and the objective.
+"""The training step's two graph nodes: the layer stack (``forward``) and the training objective.
 
-Both must give the bits of the per-op graph they replace: the forward pass
-of ``oracles.forward_reference``, and ``softmax_cross_entropy``/``mse_loss``
-plus ``weighted_penalty`` composed by ``total_loss``.
+The objective is ``total_loss`` over the task loss (``softmax_cross_entropy``
+or ``mse_loss``) and ``weighted_penalty``.  Both nodes must give the bits of
+the per-op graphs they replace: ``oracles.forward_reference``, and
+``oracles.loss_reference`` over ``oracles.penalty_reference``.
 """
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -13,10 +15,10 @@ import pytest
 from torqueprune import harness
 from torqueprune.config import parse_config
 from torqueprune.model import ConstructionError, build_model, forward, model_indexings
-from torqueprune.regularizers import RegularizerSpec, objective, penalty_weights, total_loss, weighted_penalty
+from torqueprune.regularizers import RegularizerSpec, penalty_weights, total_loss, weighted_penalty
 from torqueprune.tensor import ShapeError, Tensor, backward, mse_loss, softmax_cross_entropy, weighted_sum
 
-from oracles import finite_diff_grad, forward_reference
+from oracles import finite_diff_grad, forward_reference, loss_reference, penalty_reference
 
 
 def _draw_arch(rng) -> str:
@@ -129,22 +131,27 @@ OBJECTIVE_CASES = [
 ]
 
 
+def _task_loss(out, y, classification: bool):
+    """The training step's task loss."""
+    return softmax_cross_entropy(out, y) if classification else mse_loss(out, Tensor(y))
+
+
 @pytest.mark.parametrize("task, scheme, beta, penalize_output", OBJECTIVE_CASES)
 def test_objective_matches_loss_composition_bytes(task, scheme, beta, penalize_output):
     (new, old), x, y, spec, weights = _case(task, scheme, beta, penalize_output)
     classification = task == "classification"
     out_new = forward(new, Tensor(x))
-    loss, task_value, pen_value = objective(out_new, y, classification, spec, new, weights)
+    task_new, pen_new = _task_loss(out_new, y, classification), weighted_penalty(new, weights)
+    loss = total_loss(task_new, spec, pen_new)
 
     out_old = forward_reference(old, Tensor(x))
-    task_loss = softmax_cross_entropy(out_old, y) if classification else mse_loss(out_old, Tensor(y))
-    pen = weighted_penalty(old, weights)
-    old_loss = total_loss(task_loss, spec, pen)
+    task_old, pen_old = _task_loss(out_old, y, classification), penalty_reference(old, weights)
+    old_loss = loss_reference(task_old, spec, pen_old)
 
     assert loss.data.tobytes() == old_loss.data.tobytes()
-    assert task_value == task_loss.item() and pen_value == pen.item()
+    assert task_new.item() == task_old.item() and pen_new.item() == pen_old.item()
     if scheme != "none":
-        assert pen_value > 0.0  # computed and reported even when beta is 0
+        assert pen_new.item() > 0.0  # computed and reported even when beta is 0
     assert loss._rank == 2 and loss._parents[0] is out_new
     backward(loss)
     backward(old_loss)
@@ -186,7 +193,7 @@ def test_forward_matches_finite_differences(arch):
 def test_objective_matches_finite_differences(task):
     (model, _), x, y, spec, weights = _case(task, "exponential_etp", 5e-2, True)
     out = Tensor(forward(model, Tensor(x)).data, requires_grad=True)
-    build = lambda: objective(out, y, task == "classification", spec, model, weights)[0]
+    build = lambda: total_loss(_task_loss(out, y, task == "classification"), spec, weighted_penalty(model, weights))
     _fd_check(build, [out] + model.parameters())
 
 
@@ -206,8 +213,14 @@ def test_objective_label_out_of_range_raises_the_loss_error():
     out = forward(model, Tensor(np.zeros((2, 2))))
     with pytest.raises(IndexError) as expected:
         softmax_cross_entropy(out, [0, 2])
+    cfg = parse_config(
+        "arch = mlp:2-3-2\ndataset = two_spirals\ndataset_size = 40\nepochs = 1\n"
+        "scheme = l1\nreg_coefficient = 1e-3\n"
+    )
+    dataset = harness.dataset_for(cfg)
+    dataset = dataclasses.replace(dataset, train_y=np.full_like(dataset.train_y, 2))
     with pytest.raises(IndexError) as got:
-        objective(out, [0, 2], True, RegularizerSpec(), model, [])
+        harness.train(cfg, dataset)
     assert str(got.value) == str(expected.value) == "label 2 out of range for 2 classes"
 
 

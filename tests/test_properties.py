@@ -1,5 +1,6 @@
 """Property tests: any architecture string, config text, dataset CSV or checkpoint gives a result or a
-named error, never a traceback; pruning never changes what a model outputs."""
+named error, never a traceback; pruning never changes what a model outputs; a pipeline run twice
+writes the same bytes."""
 
 import contextlib
 import copy
@@ -210,3 +211,55 @@ def test_pruning_zeroed_groups_keeps_the_outputs(data, arch, seed):
     budget = apply_plan(model, plan_by_budget(model, target))
     assert budget.layers[-1].group_count == model.layers[-1].group_count
     assert forward(budget, batch).shape == before.shape
+
+
+# (dataset, mlp arch, cnn arch): the conv layers see each generator's features as a 1x1 map
+PIPELINE_DATA = [("two_spirals", "mlp:2-6-2", "cnn:2x1x1:conv{o}k{k}s1p{p}-dense2"),
+                 ("sine_regression", "mlp:1-6-1", "cnn:1x1x1:conv{o}k{k}s1p{p}-dense1")]
+
+
+def _pipeline_files(config_text: str, tmp: str, name: str) -> tuple:
+    """``torqueprune pipeline`` into ``tmp/name``: the exit code and every output file's bytes."""
+    path = os.path.join(tmp, f"{name}.cfg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(config_text + f"out_dir = {tmp}/{name}\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["pipeline", path])
+    out = os.path.join(tmp, name)
+    files = {}
+    for entry in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        with open(os.path.join(out, entry), "rb") as fh:
+            files[entry] = fh.read()
+    return code, files
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(
+    data=st.sampled_from(PIPELINE_DATA),
+    cnn=st.booleans(),
+    conv=st.tuples(st.integers(1, 3), st.sampled_from([(1, 0), (3, 1), (2, 1)])),
+    scheme=st.sampled_from(["none", "l1", "linear_torque", "exponential_etp", "heaviside"]),
+    beta=st.sampled_from(["0", "1e-3", "5e-2"]),
+    optimizer=st.sampled_from(["sgd_momentum", "adam", "adamw"]),
+    schedule=st.sampled_from(["constant", "cosine", "step", "multistep", "linear_warmup_decay"]),
+    unit=st.sampled_from(["epoch", "step"]),
+    prune=st.sampled_from(["threshold", "budget"]),
+    finetune=st.integers(0, 2),
+)
+def test_pipeline_twice_writes_the_same_bytes(data, cnn, conv, scheme, beta, optimizer, schedule, unit, prune, finetune):
+    dataset, mlp, cnn_arch = data
+    (o, (k, p)) = conv
+    config = (
+        f"arch = {cnn_arch.format(o=o, k=k, p=p) if cnn else mlp}\ndataset = {dataset}\n"
+        "dataset_size = 24\nepochs = 2\nbatch_size = 8\nlr = 0.05\n"
+        f"scheme = {scheme}\nreg_coefficient = {beta}\nheaviside_threshold = 1\nheaviside_force = 2\n"
+        f"optimizer = {optimizer}\nschedule = {schedule}\nmilestones = 1\nstep_size = 1\n"
+        f"schedule_unit = {unit}\nprune_mode = {prune}\nprune_threshold = 0.3\nprune_target = 1.3\n"
+        f"finetune_epochs = {finetune}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = _pipeline_files(config, tmp, "first"), _pipeline_files(config, tmp, "second")
+    assert first[0] in (0, 1, 2, 3)
+    assert first[0] == second[0]
+    if first[0] == 0:
+        assert first[1] == second[1] and "summary.csv" in first[1]
