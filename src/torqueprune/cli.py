@@ -82,7 +82,10 @@ def _config_from(args) -> "TrainConfig":
         overrides["out_dir"] = args.out_dir
     if args.log_norms_every is not None:
         overrides["log_norms_every"] = args.log_norms_every
-    return with_overrides(cfg, **overrides) if overrides else cfg
+    cfg = with_overrides(cfg, **overrides) if overrides else cfg
+    if args.command != "macs" and os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
+        raise ConfigError(f"out_dir {cfg.out_dir!r} exists and is not a directory")
+    return cfg
 
 
 def _fmt_metric(value) -> str:
@@ -183,6 +186,9 @@ def main(argv=None) -> int:
         return 2
     except (ConfigError, ConstructionError, ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # every read reports its OSError as a ConfigError, so this is a write
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return 1
 
 

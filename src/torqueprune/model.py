@@ -387,19 +387,15 @@ def group_norm_values(model: ModelGraph) -> list[np.ndarray]:
     ]
 
 
-def forward(model: ModelGraph, batch: Tensor) -> Tensor:
-    """Run the network on a batch shaped [B, *input_shape] as one graph node.
+def layers_fwd(model: ModelGraph, x: np.ndarray, need_x: bool = False) -> tuple[np.ndarray, list]:
+    """Run the forward kernels on an array [B, *input_shape]: (output, saved for ``layers_bwd``).
 
-    Each layer runs its ops' forward kernels (a dense layer flattens a conv
-    map first).  The node's backward runs the backward kernels from the last
-    layer to the first and yields each layer's weight and bias gradients as
-    soon as it has them, then the batch's: the bits of one node per op.
+    A dense layer flattens a conv map first; ``need_x`` asks for the input's gradient.
     """
     expected = tuple(model.input_shape)
-    if batch.shape[1:] != expected:
-        raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
-    x = batch.data
-    flowing = batch.requires_grad  # whether the current layer's input needs a gradient
+    if x.shape[1:] != expected:
+        raise ShapeError(f"batch shape {x.shape} does not match input shape {expected}")
+    flowing = need_x  # whether the current layer's input needs a gradient
     saved = []
     for layer in model.layers:
         shape = x.shape
@@ -416,25 +412,35 @@ def forward(model: ModelGraph, batch: Tensor) -> Tensor:
         flowing = flowing or layer.weight.requires_grad or (b is not None and layer.bias.requires_grad)
         x = relu_fwd(out) if layer.activation == "relu" else out
         x = avg_pool2x2_fwd(x) if layer.pool else x
+    return x, saved
 
-    def bwd(g):
-        for layer, shape, x, out, need_x in reversed(saved):
-            g = avg_pool2x2_bwd(g) if layer.pool else g
-            if layer.activation == "relu":
-                g = relu_bwd(g, out)
-            if layer.kind == "conv2d":
-                gb = None if layer.bias is None else bias_add_bwd(g)
-                g, gw = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
-            else:
-                g, gw, gb = linear_bwd(g, x, layer.weight.data, need_x)
-                if g is not None and len(shape) > 2:
-                    g = g.reshape(shape)
-            yield gw
-            if layer.bias is not None:
-                yield gb
-            if g is None:
-                return
-        yield g
 
+def layers_bwd(saved: list, g: np.ndarray):
+    """Run a ``layers_fwd`` pass's backward kernels, last layer first, for output gradient ``g``.
+
+    Yields each layer's weight and bias gradients as soon as it has them, then the input's if asked for.
+    """
+    for layer, shape, x, out, need_x in reversed(saved):
+        g = avg_pool2x2_bwd(g) if layer.pool else g
+        if layer.activation == "relu":
+            g = relu_bwd(g, out)
+        if layer.kind == "conv2d":
+            gb = None if layer.bias is None else bias_add_bwd(g)
+            g, gw = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
+        else:
+            g, gw, gb = linear_bwd(g, x, layer.weight.data, need_x)
+            if g is not None and len(shape) > 2:
+                g = g.reshape(shape)
+        yield gw
+        if layer.bias is not None:
+            yield gb
+        if g is None:
+            return
+    yield g
+
+
+def forward(model: ModelGraph, batch: Tensor) -> Tensor:
+    """``layers_fwd`` and ``layers_bwd`` as one graph node over every parameter and the batch: the bits of one node per op."""
+    out, saved = layers_fwd(model, batch.data, batch.requires_grad)
     parents = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
-    return _from_op(x, parents + [batch], "forward", bwd)
+    return _from_op(out, parents + [batch], "forward", lambda g: layers_bwd(saved, g))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,11 +22,13 @@ SCHEDULE_KINDS = ("multistep", "step", "cosine", "linear_warmup_decay", "constan
 
 
 class Optimizer:
-    """Holds per-parameter moment buffers and applies one update rule.
+    """Owns flat parameter, gradient and moment vectors and applies one elementwise update rule to them.
 
-    ``step`` consumes the gradients produced by the latest backward pass
-    and clears them, so a missing gradient is always a caller bug and is
-    reported as a contract error.
+    Each parameter's ``.data`` becomes a view of the parameter vector;
+    ``grads[i]`` is parameter i's view of the gradient vector.  ``step``
+    consumes each ``.grad`` (a ``grads`` view is read in place) and clears
+    them, so a missing gradient is always a caller bug and is reported as a
+    contract error.
     """
 
     def __init__(
@@ -52,9 +55,18 @@ class Optimizer:
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        # moment buffers, allocated here in each parameter's shape; only Adam and AdamW use the second
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._second = [np.zeros_like(p.data) for p in self.params] if kind != "sgd_momentum" else None
+        ends = list(accumulate((p.data.size for p in self.params), initial=0))
+        self._flat = np.empty(ends[-1])
+        self._grad = np.zeros(ends[-1])
+        self.grads = []
+        for p, start, end in zip(self.params, ends, ends[1:]):
+            view = self._flat[start:end].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self.grads.append(self._grad[start:end].reshape(view.shape))
+        # moment vectors; only Adam and AdamW use the second
+        self._velocity = np.zeros_like(self._flat)
+        self._second = np.zeros_like(self._flat) if kind != "sgd_momentum" else None
 
     def step(self):
         for p in self.params:
@@ -63,39 +75,28 @@ class Optimizer:
                     "optimizer step requires a gradient for every parameter; "
                     "run backward() before step()"
                 )
-        self.step_count += 1
-        if self.kind == "sgd_momentum":
-            self._step_sgd()
-        else:
-            self._step_adam(decoupled=self.kind == "adamw")
-        for p in self.params:
+        for p, view in zip(self.params, self.grads):
+            if p.grad is not view:
+                view[...] = p.grad
             p.grad = None
-
-    def _step_sgd(self):
-        for p, v in zip(self.params, self._velocity):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data -= self.lr * v
-
-    def _step_adam(self, decoupled):
+        self.step_count += 1
+        w, g, m, v = self._flat, self._grad, self._velocity, self._second
+        decoupled = self.kind == "adamw"
+        if self.weight_decay and not decoupled:  # coupled decay is folded into the gradient
+            g = g + self.weight_decay * w
+        if self.kind == "sgd_momentum":
+            m *= self.momentum
+            m += g
+            w -= self.lr * m
+            return
         b1, b2 = self.betas
-        t = self.step_count
-        bias1 = 1.0 - b1**t
-        bias2 = 1.0 - b2**t
-        for p, m, v in zip(self.params, self._velocity, self._second):
-            g = p.grad
-            if self.weight_decay and not decoupled:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            if decoupled and self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        if decoupled and self.weight_decay:
+            w -= self.lr * self.weight_decay * w
+        w -= self.lr * (m / (1.0 - b1**self.step_count)) / (np.sqrt(v / (1.0 - b2**self.step_count)) + self.eps)
 
 
 @dataclass(frozen=True)

@@ -121,29 +121,36 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
     return _scheme_weights(spec, indexing.distances.astype(np.float64), layer.group_count)
 
 
-def _penalty(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> Tensor:
-    """Sum of ``vdot(group norms, weights)`` over (layer, weights) pairs as one node; 0 when empty.
+def penalty_fwd(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> tuple[float, list]:
+    """(sum of ``vdot(group norms, weights)`` over (layer, weights) pairs, saved for ``penalty_bwd``); 0 when empty.
 
     Terms add in order: value and gradients have the bits of ``add``-chained ``weighted_sum(group_norms(...))``.
     """
-    if not pairs:
-        return Tensor(0.0)
-    value, terms = None, []
+    value, saved = None, []
     for layer, w in pairs:
         bias = None if layer.bias is None else layer.bias.data
         norms, inv = group_norms_fwd(layer.weight.data, bias)
         value = np.vdot(norms, w) if value is None else value + np.vdot(norms, w)
-        terms.append((layer.weight.data, bias, w, inv))
+        saved.append((layer.weight.data, bias, w, inv))
+    return (0.0 if value is None else value), saved
 
-    def bwd(g):
-        for weight, bias, w, inv in terms:
-            gw, gb = group_norms_bwd(float(g) * w, inv, weight, bias)
-            yield gw
-            if bias is not None:
-                yield gb
 
+def penalty_bwd(saved: list, g: float):
+    """Yield each pair's weight gradient, then its bias gradient (if any), for penalty gradient ``g``."""
+    for weight, bias, w, inv in saved:
+        gw, gb = group_norms_bwd(float(g) * w, inv, weight, bias)
+        yield gw
+        if bias is not None:
+            yield gb
+
+
+def _penalty(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> Tensor:
+    """``penalty_fwd`` over (layer, weights) pairs as one node whose backward is ``penalty_bwd``."""
+    if not pairs:
+        return Tensor(0.0)
+    value, saved = penalty_fwd(pairs)
     parents = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
-    return _from_op(np.asarray(value), parents, "penalty", bwd)
+    return _from_op(np.asarray(value), parents, "penalty", lambda g: penalty_bwd(saved, g))
 
 
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:
@@ -194,19 +201,29 @@ def model_penalty(
     return weighted_penalty(model, penalty_weights(spec, model, indexings, layers))
 
 
+def loss_beta(spec: RegularizerSpec) -> float:
+    """beta of the training loss ``total_loss_fwd``; 0.0 when the scheme is ``none``."""
+    return 0.0 if spec.scheme == "none" else float(spec.reg_coefficient)
+
+
+def total_loss_fwd(task, penalty, beta: float):
+    """task + beta * penalty; ``task`` itself, exactly, when beta is 0."""
+    return task + penalty * beta if beta else task
+
+
 def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Tensor:
-    """task_loss + reg_coefficient * penalty as one node; exact pass-through when off.
+    """``total_loss_fwd`` of both operands as one node; exact pass-through when the penalty is off.
 
     The node's parents are both operands' parents (a leaf operand is its own
     parent).  Its backward runs the task's rule with the incoming gradient,
-    then the penalty's with that gradient times reg_coefficient: the bits of
-    ``add(task_loss, scale(penalty, reg_coefficient))``.
+    then the penalty's with that gradient times beta: the bits of
+    ``add(task_loss, scale(penalty, beta))``.
     """
-    if spec.scheme == "none" or spec.reg_coefficient == 0.0:
+    beta = loss_beta(spec)
+    if not beta:
         return task_loss
     if task_loss.shape != penalty.shape:
         raise ShapeError(f"add: shapes {task_loss.shape} and {penalty.shape} differ")
-    beta = float(spec.reg_coefficient)
     # (parents, rule) of each operand
     task, pen = ((t._parents, t._bwd) if t._bwd is not None else ((t,), lambda g: (g,)) for t in (task_loss, penalty))
 
@@ -214,4 +231,4 @@ def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Ten
         yield from task[1](g)
         yield from pen[1](g * beta)
 
-    return _from_op(task_loss.data + penalty.data * beta, task[0] + pen[0], "total_loss", bwd)
+    return _from_op(total_loss_fwd(task_loss.data, penalty.data, beta), task[0] + pen[0], "total_loss", bwd)

@@ -95,10 +95,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray) -> None:
+    def _accum(self, g: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Add ``g`` to ``grad``; a first gradient is written into ``out`` (default: a new array) and bound to ``grad``."""
         if self.grad is None:
             # the bits of zeros + g (-0.0 becomes +0.0) without a zeros buffer
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data) if out is None else out)
         else:
             self.grad += g
 

@@ -3,8 +3,9 @@
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
 heaviside penalty, successor slices, convolution, relu, pooling, the dense
-layer, the rows of a norm snapshot, the penalty and the training loss) the
-slow and obvious way, so tests can hold the fast path to it.
+layer, the rows of a norm snapshot, the penalty, the training loss, the
+optimizer updates) the slow and obvious way, so tests can hold the fast
+path to it.
 """
 
 from __future__ import annotations
@@ -227,3 +228,30 @@ def loss_reference(task: Tensor, spec, pen: Tensor) -> Tensor:
     if spec.scheme == "none" or spec.reg_coefficient == 0.0:
         return task
     return add(task, scale(pen, spec.reg_coefficient))
+
+
+def sgd_reference(params, grads, velocity, lr, momentum, weight_decay) -> None:
+    """``Optimizer``'s SGD update as one loop over parameters: weight decay folded into each gradient, in place."""
+    for p, g, v in zip(params, grads, velocity):
+        if weight_decay:
+            g = g + weight_decay * p
+        v *= momentum
+        v += g
+        p -= lr * v
+
+
+def adam_reference(params, grads, first, second, t, lr, betas, eps, weight_decay, decoupled) -> None:
+    """``Optimizer``'s Adam (AdamW when ``decoupled``) update at step ``t`` as one loop over parameters, in place."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for p, g, m, v in zip(params, grads, first, second):
+        if weight_decay and not decoupled:
+            g = g + weight_decay * p
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        if decoupled and weight_decay:
+            p -= lr * weight_decay * p
+        p -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)

@@ -460,3 +460,34 @@ def test_malformed_checkpoint_exit_1(toy_cfg, tmp_path, capsys, case):
     capsys.readouterr()
     assert main(["prune", toy_cfg, "--checkpoint", str(ckpt)]) == 1
     assert "malformed checkpoint" in capsys.readouterr().err
+
+
+WRITING_COMMANDS = [
+    ["train"],
+    ["prune", "--checkpoint", "ckpt.json"],
+    ["pipeline"],
+    ["sweep", "--betas", "1e-3"],
+]
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda c: c[0])
+def test_out_dir_that_is_a_file_exit_1_before_any_work(toy_cfg, tmp_path, capsys, monkeypatch, command):
+    from torqueprune import harness
+
+    save_checkpoint(tmp_path / "ckpt.json", build_model("mlp:2-16-2", seed=0))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep\n")
+    for name in ("build_model", "load_checkpoint"):  # training and loading a checkpoint both start here
+        monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("work started before out_dir was checked"))
+    assert main([command[0], toy_cfg, *command[1:], "--out-dir", "afile"]) == 1
+    assert capsys.readouterr().err == "error: out_dir 'afile' exists and is not a directory\n"
+    assert (tmp_path / "afile").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda c: c[0])
+def test_out_dir_that_cannot_be_made_exit_1(toy_cfg, tmp_path, capsys, monkeypatch, command):
+    save_checkpoint(tmp_path / "ckpt.json", build_model("mlp:2-16-2", seed=0))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("keep\n")
+    assert main([command[0], toy_cfg, *command[1:], "--out-dir", os.path.join("afile", "sub")]) == 1
+    assert capsys.readouterr().err == "error: cannot write: [Errno 20] Not a directory: 'afile/sub'\n"

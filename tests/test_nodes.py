@@ -1,21 +1,26 @@
-"""The training step's two graph nodes: the layer stack (``forward``) and the training objective.
+"""The library's two training nodes and the training step that runs their plain passes.
 
-The objective is ``total_loss`` over the task loss (``softmax_cross_entropy``
-or ``mse_loss``) and ``weighted_penalty``.  Both nodes must give the bits of
-the per-op graphs they replace: ``oracles.forward_reference``, and
-``oracles.loss_reference`` over ``oracles.penalty_reference``.
+The nodes are the layer stack (``forward``) and the training objective,
+``total_loss`` over the task loss (``softmax_cross_entropy`` or ``mse_loss``)
+and ``weighted_penalty``.  Both must give the bits of the per-op graphs they
+replace: ``oracles.forward_reference``, and ``oracles.loss_reference`` over
+``oracles.penalty_reference``.  The training step builds no node, and must
+give the bits of those nodes with ``backward`` and ``Optimizer.step``.
 """
 
 import dataclasses
+import re
 import zlib
 
 import numpy as np
 import pytest
 
 from torqueprune import harness
-from torqueprune.config import parse_config
+from torqueprune.config import TrainConfig, optimizer_for, parse_config
+from torqueprune.datasets import Dataset
 from torqueprune.model import ConstructionError, build_model, forward, model_indexings
-from torqueprune.regularizers import RegularizerSpec, penalty_weights, total_loss, weighted_penalty
+from torqueprune.optim import LrSchedule
+from torqueprune.regularizers import SCHEMES, RegularizerSpec, penalty_weights, total_loss, weighted_penalty
 from torqueprune.tensor import ShapeError, Tensor, backward, mse_loss, softmax_cross_entropy, weighted_sum
 
 from oracles import finite_diff_grad, forward_reference, loss_reference, penalty_reference
@@ -224,9 +229,9 @@ def test_objective_label_out_of_range_raises_the_loss_error():
     assert str(got.value) == str(expected.value) == "label 2 out of range for 2 classes"
 
 
-def test_training_step_builds_two_nodes_and_runs_each_hook_once(monkeypatch):
-    calls = {"forward": 0, "backward": 0, "nodes": []}
-    real_forward, real_backward = harness.forward, harness.backward
+def test_training_step_builds_no_node_and_calls_forward_once(monkeypatch):
+    calls = {"forward": 0, "backward": 0, "tensors": 0}
+    real_forward, real_init = harness.forward, Tensor.__init__
 
     def counted_forward(model, batch):
         calls["forward"] += 1
@@ -234,22 +239,82 @@ def test_training_step_builds_two_nodes_and_runs_each_hook_once(monkeypatch):
 
     def counted_backward(loss):
         calls["backward"] += 1
-        nodes, stack = set(), [loss]
-        while stack:
-            node = stack.pop()
-            if node._bwd is not None and id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(node._parents)
-        calls["nodes"].append(len(nodes))
-        return real_backward(loss)
+
+    def counted_init(self, *args, **kwargs):
+        calls["tensors"] += calls["forward"] > 0  # the model is built before the first step
+        real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(harness, "forward", counted_forward)
     monkeypatch.setattr(harness, "backward", counted_backward)
-    cfg = parse_config(
-        "arch = mlp:2-8-8-2\ndataset = two_spirals\ndataset_size = 100\nepochs = 2\nbatch_size = 32\n"
-        "scheme = exponential_etp\nreg_coefficient = 1e-3\n"
-    )
-    harness.train(cfg)
-    steps = 2 * -(-harness.dataset_for(cfg).train_x.shape[0] // 32)
-    assert calls["forward"] == calls["backward"] == steps
-    assert calls["nodes"] == [2] * steps
+    monkeypatch.setattr(Tensor, "__init__", counted_init)
+    for task in ("two_spirals", "sine_regression"):
+        calls.update(forward=0, tensors=0)
+        cfg = parse_config(
+            f"arch = mlp:{1 + (task == 'two_spirals')}-8-8-{2 - (task != 'two_spirals')}\ndataset = {task}\n"
+            "dataset_size = 100\nepochs = 2\nbatch_size = 32\nscheme = exponential_etp\nreg_coefficient = 1e-3\n"
+        )
+        harness.train(cfg)
+        steps = 2 * -(-harness.dataset_for(cfg).train_x.shape[0] // 32)
+        assert calls == {"forward": steps, "backward": 0, "tensors": 0}
+
+
+SCHEME_KEYS = {"heaviside": {"heaviside_threshold": 1.0, "heaviside_force": 2.0}}
+OPTIMIZERS = [("sgd_momentum", 0.0), ("sgd_momentum", 1e-2), ("adam", 0.0), ("adamw", 1e-2)]
+
+
+def _step_case(arch: str, task: str, seed: int):
+    """A model, a 3-batch dataset that fits it, and the model's random indexings."""
+    model = build_model(arch, seed=seed)
+    rng = np.random.default_rng(seed)
+    n, width = 12, model.layers[-1].group_count
+    x = rng.normal(0.0, 1.0, (n, int(np.prod(model.input_shape))))
+    y = rng.integers(0, width, n) if task == "classification" else rng.normal(0.0, 1.0, (n, width))
+    dataset = Dataset("drawn", task, x, y, x, y, np.zeros(x.shape[1]), np.ones(x.shape[1]), width)
+    return model, dataset, model_indexings(model, "random", seed)
+
+
+def _library_epoch(cfg, model, dataset, spec, indexings, layers, shuffle_seed):
+    """One epoch through the node API: ``forward`` + ``total_loss(task, weighted_penalty)`` + ``backward`` + ``step``."""
+    opt = optimizer_for(cfg, model.parameters())
+    weights = penalty_weights(spec, model, indexings, layers)
+    n = dataset.train_x.shape[0]
+    task_sum = pen_sum = 0.0
+    order = np.random.default_rng(shuffle_seed).permutation(n)
+    for start in range(0, n, cfg.batch_size):
+        idx = order[start : start + cfg.batch_size]
+        out = forward(model, Tensor(dataset.train_x[idx].reshape((len(idx),) + model.input_shape)))
+        task = _task_loss(out, dataset.train_y[idx], dataset.task == "classification")
+        pen = weighted_penalty(model, weights)
+        backward(total_loss(task, spec, pen))
+        opt.step()
+        task_sum += task.item() * len(idx)
+        pen_sum += pen.item() * len(idx)
+    return task_sum / n, pen_sum / n
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_training_step_matches_library_path_bytes(arch):
+    """Three steps of ``harness._epochs`` against the node API, per task, scheme, output penalty and optimizer."""
+    seed = zlib.crc32(arch.encode()) % 1000
+    if not (arch.startswith("mlp:") or re.search(r"dense\d+$", arch)):
+        arch += "-dense2"  # a loss needs [N, C] outputs
+    for case, (task, scheme, penalize_output) in enumerate(
+        (t, s, o) for t in ("classification", "regression") for s in SCHEMES for o in (False, True)
+    ):
+        kind, decay = OPTIMIZERS[(case + seed) % len(OPTIMIZERS)]
+        cfg = TrainConfig(
+            arch=arch, dataset="drawn", batch_size=4, lr=0.05, optimizer=kind, weight_decay=decay,
+            penalize_output=penalize_output,
+        )
+        spec = RegularizerSpec(scheme, 0.0 if scheme == "none" else 0.03, **SCHEME_KEYS.get(scheme, {}))
+        plain, dataset, indexings = _step_case(arch, task, seed)
+        library, _, _ = _step_case(arch, task, seed)
+        layers = harness.penalized_layers(cfg, plain)
+        record = next(harness._epochs(cfg, plain, dataset, 1, [seed, 11], LrSchedule(), spec, indexings, layers))
+        task_mean, pen_mean = _library_epoch(cfg, library, dataset, spec, indexings, layers, [seed, 11])
+        assert record.step == 3
+        assert (record.task_loss, record.penalty_value) == (task_mean, pen_mean)
+        if scheme in ("l1", "exponential_etp"):  # every group pays
+            assert pen_mean > 0.0
+        for p_plain, p_library in zip(plain.parameters(), library.parameters()):
+            assert p_plain.data.tobytes() == p_library.data.tobytes()

@@ -6,6 +6,8 @@ import pytest
 from torqueprune.optim import LrSchedule, Optimizer, lr_at
 from torqueprune.tensor import ContractError, Tensor
 
+from oracles import adam_reference, sgd_reference
+
 
 def param(value):
     t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True)
@@ -211,3 +213,56 @@ def test_schedule_is_deterministic_pure_function():
     a = [lr_at(sched, 0.05, e) for e in range(20)]
     b = [lr_at(sched, 0.05, e) for e in range(20)]
     assert a == b
+
+
+# ---------------------------------------------------------------- flat buffers
+
+
+SHAPES = [(), (3,), (2, 3), (2, 1, 3, 3), (1,)]
+
+
+@pytest.mark.parametrize(
+    "kind, weight_decay",
+    [("sgd_momentum", 0.0), ("sgd_momentum", 0.05), ("adam", 0.0), ("adam", 0.05), ("adamw", 0.0), ("adamw", 0.05)],
+)
+def test_flat_update_matches_per_parameter_reference_bytes(kind, weight_decay):
+    rng = np.random.default_rng(3)
+    values = [rng.normal(0.0, 1.0, shape) for shape in SHAPES]
+    values[1][0] = -0.0
+    params = [param(v.copy()) for v in values]
+    ref = [v.copy() for v in values]
+    first, second = [np.zeros_like(v) for v in values], [np.zeros_like(v) for v in values]
+    opt = Optimizer(params, kind=kind, lr=0.03, momentum=0.9, weight_decay=weight_decay)
+    for t in range(1, 5):
+        grads = [rng.normal(0.0, 1.0, shape) for shape in SHAPES]
+        for p, g in zip(params, grads):
+            set_grad(p, g)
+        opt.step()
+        if kind == "sgd_momentum":
+            sgd_reference(ref, grads, first, 0.03, 0.9, weight_decay)
+        else:
+            adam_reference(ref, grads, first, second, t, 0.03, (0.9, 0.999), 1e-8, weight_decay, kind == "adamw")
+        assert [p.data.tobytes() for p in params] == [r.tobytes() for r in ref]
+        assert [p.data.shape for p in params] == SHAPES
+
+
+def test_parameters_become_views_of_one_flat_vector():
+    params = [param(np.full(shape, float(i))) for i, shape in enumerate(SHAPES)]
+    opt = Optimizer(params, kind="adam", lr=0.1)
+    base = params[0].data.base
+    assert base is not None and all(p.data.base is base for p in params)
+    assert base.tolist() == [0.0, 1.0, 1.0, 1.0] + [2.0] * 6 + [3.0] * 18 + [4.0]
+    # a gradient written into the optimizer's own view is read in place
+    for p, view in zip(params, opt.grads):
+        assert view.shape == p.data.shape
+        p.grad = np.add(np.ones(view.shape), 0.0, out=view)
+    opt.step()
+    assert all(p.grad is None for p in params)
+    assert np.allclose(base, [-0.1, 0.9, 0.9, 0.9] + [1.9] * 6 + [2.9] * 18 + [3.9])
+
+
+def test_optimizer_without_parameters_builds_and_steps():
+    for kind in ("sgd_momentum", "adam", "adamw"):
+        opt = Optimizer((), kind=kind, weight_decay=0.1)
+        opt.step()
+        assert opt.step_count == 1 and opt.grads == []

@@ -9,6 +9,9 @@ one BLAS thread:
 * ``pipeline`` on the four ``cnn-pipeline`` benchmark inputs;
 * ``train configs/spirals_etp.conf``;
 * ``sweep --betas 1e-4,1e-3,0`` on the spirals config cut to 8 epochs;
+* ``pipeline`` on six variants of that 8-epoch config (``SPIRALS_8_VARIANTS``):
+  ``adam``, ``adamw`` with weight decay, ``schedule_unit = step``,
+  ``penalize_output = true``, and the ``l1`` and ``heaviside`` schemes;
 * the 56 ``prune-budget`` benchmark prunes (14 rungs x 4 variants);
 * ``macs configs/toycnn_macs.conf``.
 
@@ -45,6 +48,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 
 
+# (run name, config keys set on the 8-epoch spirals config): one pipeline each,
+# for the optimizers, schedule unit, output penalty and schemes the other runs miss
+SPIRALS_8_VARIANTS = (
+    ("spirals_8_adam", {"optimizer": "adam", "lr": "0.01"}),
+    ("spirals_8_adamw", {"optimizer": "adamw", "lr": "0.01", "weight_decay": "0.01"}),
+    ("spirals_8_step_unit", {"schedule": "cosine", "schedule_unit": "step"}),
+    ("spirals_8_penalize_output", {"penalize_output": "true"}),
+    ("spirals_8_l1", {"scheme": "l1"}),
+    ("spirals_8_heaviside", {"scheme": "heaviside", "heaviside_threshold": "16", "heaviside_force": "1"}),
+)
+
+
 def runs(inputs) -> list:
     """(name, argv) for every run, writing inputs into the current directory first."""
     spirals = os.path.join(CONFIGS, "spirals_etp.conf")
@@ -62,6 +77,15 @@ def runs(inputs) -> list:
     with open("spirals_8.conf", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(short)
     out.append(("sweep_spirals", ["sweep", "spirals_8.conf", "--betas", "1e-4,1e-3,0", "--out-dir", "sweep_spirals"]))
+    for name, keys in SPIRALS_8_VARIANTS:
+        text = short
+        for key, value in keys.items():
+            line = f"{key} = {value}"
+            text, found = re.subn(rf"(?m)^{key} = .*$", line, text)
+            text += "" if found else line + "\n"
+        with open(f"{name}.conf", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        out.append((name, ["pipeline", f"{name}.conf", "--out-dir", name]))
     for v in range(inputs.VARIANTS):
         os.makedirs(f"prune_v{v}")
         for rung in inputs.prune_budget_inputs(f"prune_v{v}", v)["rungs"]:
