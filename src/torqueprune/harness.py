@@ -28,7 +28,7 @@ from .model import layers_bwd, layers_fwd as forward
 from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import UnreachableTargetError, accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
 from .regularizers import RegularizerSpec, loss_beta, model_penalty, penalty_bwd, penalty_fwd, penalty_weights, total_loss_fwd
-from .tensor import mse_loss_bwd, mse_loss_fwd, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd
+from .tensor import class_labels, mse_loss_bwd, mse_loss_fwd, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd
 # Unused here since the step runs the plain passes: the benchmark's tracer wraps these nodes by name here.
 from .regularizers import total_loss
 from .tensor import backward, softmax_cross_entropy
@@ -167,6 +167,8 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     n = dataset.train_x.shape[0]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
+    # the labels are checked once per run, not on every step
+    ys = class_labels(dataset.train_y, (n, model.layers[-1].group_count)) if classification else dataset.train_y
     beta = loss_beta(spec)
     pairs = [(model.layers[idx], w) for idx, w in penalty_weights(spec, model, indexings, reg_layers)]
     # (parameter, its view of the optimizer's gradient vector) in the order each backward pass yields;
@@ -184,7 +186,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
                 lr = lr_at(sched, cfg.lr, step)
             opt.lr = lr
             x = _batch_input(dataset.train_x[idx], model.input_shape)
-            y = dataset.train_y[idx]
+            y = ys[idx]
             out, saved = forward(model, x)
             task, *task_saved = softmax_cross_entropy_fwd(out, y) if classification else mse_loss_fwd(out, y)
             pen, pen_saved = penalty_fwd(pairs)
@@ -463,6 +465,8 @@ def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
         if first is not sub:
             betas = f"{first.reg_coefficient!r} and {sub.reg_coefficient!r}"
             raise ConfigError(f"sweep coefficients {betas} would both write to {sub.out_dir!r}")
+        if write and os.path.exists(sub.out_dir) and not os.path.isdir(sub.out_dir):
+            raise ConfigError(f"out_dir {sub.out_dir!r} exists and is not a directory")
     dataset = dataset_for(cfg)
     base = train(_base_config(cfg), dataset)
     rows = []

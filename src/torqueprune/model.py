@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _from_op, group_norm_array, linear_bwd, linear_fwd, relu_bwd, relu_fwd
-from .tensor import avg_pool2x2_bwd, avg_pool2x2_fwd, bias_add_bwd, bias_add_fwd, conv2d_bwd, conv2d_fwd
+from .tensor import avg_pool2x2_bwd, avg_pool2x2_fwd, conv2d_bwd, conv2d_fwd, reshape_bwd
 
 # Unused here since ``forward`` runs their kernels and the penalty runs the
 # group-norm kernels: the benchmark's op tracer wraps these ops by name here.
@@ -398,17 +398,15 @@ def layers_fwd(model: ModelGraph, x: np.ndarray, need_x: bool = False) -> tuple[
     flowing = need_x  # whether the current layer's input needs a gradient
     saved = []
     for layer in model.layers:
-        shape = x.shape
+        unflat = None  # a dense layer's input before it is flattened
         b = None if layer.bias is None else layer.bias.data
         if layer.kind == "conv2d":
-            out, x = conv2d_fwd(x, layer.weight.data, layer.stride, layer.padding)
-            if b is not None:
-                out = bias_add_fwd(out, b)
+            out, x = conv2d_fwd(x, layer.weight.data, b, layer.stride, layer.padding)
         else:
-            if len(shape) > 2:
-                x = x.reshape(shape[0], math.prod(shape[1:]))
+            if x.ndim > 2:
+                unflat, x = x, x.reshape(x.shape[0], math.prod(x.shape[1:]))
             out = linear_fwd(x, layer.weight.data, b)
-        saved.append((layer, shape, x, out, flowing))
+        saved.append((layer, unflat, x, out, flowing))
         flowing = flowing or layer.weight.requires_grad or (b is not None and layer.bias.requires_grad)
         x = relu_fwd(out) if layer.activation == "relu" else out
         x = avg_pool2x2_fwd(x) if layer.pool else x
@@ -420,17 +418,16 @@ def layers_bwd(saved: list, g: np.ndarray):
 
     Yields each layer's weight and bias gradients as soon as it has them, then the input's if asked for.
     """
-    for layer, shape, x, out, need_x in reversed(saved):
+    for layer, unflat, x, out, need_x in reversed(saved):
         g = avg_pool2x2_bwd(g) if layer.pool else g
         if layer.activation == "relu":
             g = relu_bwd(g, out)
         if layer.kind == "conv2d":
-            gb = None if layer.bias is None else bias_add_bwd(g)
-            g, gw = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
+            g, gw, gb = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
         else:
             g, gw, gb = linear_bwd(g, x, layer.weight.data, need_x)
-            if g is not None and len(shape) > 2:
-                g = g.reshape(shape)
+            if g is not None and unflat is not None:
+                g = reshape_bwd(g, unflat)
         yield gw
         if layer.bias is not None:
             yield gb

@@ -217,11 +217,18 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _from_op(out, parents, "linear", lambda g: linear_bwd(g, x.data, weight.data, x.requires_grad))
 
 
+def reshape_bwd(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``g`` in the shape and the memory layout of the input ``x``: batch-last when a conv block made ``x``."""
+    gx = np.empty_like(x)
+    gx[...] = g.reshape(x.shape)
+    return gx
+
+
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    return _from_op(x.data.reshape(shape), (x,), "reshape", lambda g: (g.reshape(x.shape),))
+    return _from_op(x.data.reshape(shape), (x,), "reshape", lambda g: (reshape_bwd(g, x.data),))
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +253,11 @@ def relu(x: Tensor) -> Tensor:
     return _from_op(relu_fwd(x.data), (x,), "relu", lambda g: (relu_bwd(g, x.data),))
 
 
-def softmax_cross_entropy_fwd(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(loss, log-probabilities, integer labels)."""
-    if logits.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: expected [N, C] logits, got {logits.shape}")
-    n, c = logits.shape
+def class_labels(labels, shape) -> np.ndarray:
+    """``labels`` as integer class indices for [N, C] logits of ``shape``: one per row, each in [0, C)."""
+    if len(shape) != 2:
+        raise ShapeError(f"softmax_cross_entropy: expected [N, C] logits, got {tuple(shape)}")
+    n, c = shape
     lab = np.asarray(labels)
     if lab.ndim != 1 or lab.shape[0] != n:
         raise ShapeError(f"softmax_cross_entropy: expected {n} labels, got shape {lab.shape}")
@@ -258,9 +265,14 @@ def softmax_cross_entropy_fwd(logits: np.ndarray, labels) -> tuple[np.ndarray, n
     if lab.size and (lab.min() < 0 or lab.max() >= c):
         bad = lab[(lab < 0) | (lab >= c)][0]
         raise IndexError(f"label {int(bad)} out of range for {c} classes")
+    return lab
+
+
+def softmax_cross_entropy_fwd(logits: np.ndarray, lab: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(loss, log-probabilities, labels) for labels that ``class_labels`` returned."""
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    return np.asarray(-logp[np.arange(n), lab].mean()), logp, lab
+    return np.asarray(-logp[np.arange(logits.shape[0]), lab].mean()), logp, lab
 
 
 def softmax_cross_entropy_bwd(g: float, logp: np.ndarray, lab: np.ndarray) -> np.ndarray:
@@ -275,7 +287,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     Stabilized by row-max subtraction; backward is (softmax - onehot) / N.
     """
-    loss, logp, lab = softmax_cross_entropy_fwd(logits.data, labels)
+    loss, logp, lab = softmax_cross_entropy_fwd(logits.data, class_labels(labels, logits.shape))
     bwd = lambda g: (softmax_cross_entropy_bwd(float(g), logp, lab),)
     return _from_op(loss, (logits,), "softmax_cross_entropy", bwd)
 
@@ -303,19 +315,48 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 # convolution and pooling
 
 
-def _tap(a: int, b: int, stride: int, h_out: int, w_out: int) -> tuple:
-    return np.s_[:, :, a : a + stride * h_out : stride, b : b + stride * w_out : stride]
+# One row block's column matrix holds at most this many bytes, so the memory
+# a conv needs beyond its input and output does not grow with the batch.  A
+# 16-row training batch of a small CNN is one block.
+COLUMN_BLOCK_BYTES = 2 << 20
 
 
-def conv2d_fwd(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> tuple[np.ndarray, np.ndarray]:
-    """(output, zero-padded input): one matmul per kernel tap over the strided
-    input slice it sees, so no [N, C, H_out, W_out, K, K] window or im2col matrix."""
+def _row_blocks(n: int, row_bytes: int) -> list:
+    """Slices of the batch (last) axis whose column matrices fit ``COLUMN_BLOCK_BYTES``."""
+    rows = max(1, COLUMN_BLOCK_BYTES // row_bytes)
+    return [np.s_[..., lo : lo + rows] for lo in range(0, n, rows)]
+
+
+def _taps(k: int, stride: int, h_out: int, w_out: int):
+    """(a, b, slice): each kernel tap and the rows and columns of a batch-last input it reads."""
+    for a in range(k):
+        for b in range(k):
+            yield a, b, np.s_[:, a : a + stride * h_out : stride, b : b + stride * w_out : stride]
+
+
+def _columns(xp: np.ndarray, k: int, stride: int, h_out: int, w_out: int) -> np.ndarray:
+    """The column matrix [C*K*K, H_out*W_out*n] of a batch-last padded input [C, Hp, Wp, n]."""
+    cols = np.empty((xp.shape[0], k, k, h_out, w_out, xp.shape[3]))
+    for a, b, tap in _taps(k, stride, h_out, w_out):
+        cols[:, a, b] = xp[tap]
+    return cols.reshape(-1, h_out * w_out * xp.shape[3])
+
+
+def conv2d_fwd(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None, stride: int, padding: int):
+    """(output, padded input): ``kernel`` [O, C*K*K] times the column matrix, one GEMM per row block.
+
+    Both arrays are batch-last in memory: the padded input is [C, Hp, Wp, N],
+    and the output is the NCHW view of [O, H_out, W_out, N].  Elementwise ops
+    keep that layout, so the next conv reads its input without a copy.
+    """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-d input and kernel, got {x.shape} and {kernel.shape}")
     if kernel.shape[2] != kernel.shape[3]:
         raise ShapeError(f"conv2d: kernel must be square, got {kernel.shape}")
     if x.shape[1] != kernel.shape[1]:
         raise ShapeError(f"conv2d: input channels {x.shape[1]} != kernel channels {kernel.shape[1]}")
+    if bias is not None and bias.shape != (kernel.shape[0],):
+        raise ShapeError(f"conv2d: bias {bias.shape} does not fit kernel {kernel.shape}")
     if stride < 1:
         raise ContractError(f"conv2d: stride must be positive, got {stride}")
     if padding < 0:
@@ -324,36 +365,49 @@ def conv2d_fwd(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> 
     o, _, k, _ = kernel.shape
     if h + 2 * padding < k or w + 2 * padding < k:
         raise ShapeError(f"conv2d: kernel {k}x{k} exceeds padded input {h + 2 * padding}x{w + 2 * padding}")
-    xp = x
     if padding:
-        xp = np.zeros((n_, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n_))
+        xp[:, padding : padding + h, padding : padding + w] = x.transpose(1, 2, 3, 0)
+    else:
+        xp = np.ascontiguousarray(x.transpose(1, 2, 3, 0))
     h_out = (h + 2 * padding - k) // stride + 1
     w_out = (w + 2 * padding - k) // stride + 1
-    out = np.zeros((n_, o, h_out * w_out))
-    for a in range(k):
-        for b in range(k):
-            out += kernel[:, :, a, b] @ xp[_tap(a, b, stride, h_out, w_out)].reshape(n_, c, h_out * w_out)
-    return out.reshape(n_, o, h_out, w_out), xp
+    kernel2d = kernel.reshape(o, -1)
+    blocks = _row_blocks(n_, 8 * c * k * k * h_out * w_out)
+    if len(blocks) == 1:
+        out = (kernel2d @ _columns(xp, k, stride, h_out, w_out)).reshape(o, h_out, w_out, n_)
+    else:
+        out = np.empty((o, h_out, w_out, n_))
+        for blk in blocks:
+            out[blk] = (kernel2d @ _columns(xp[blk], k, stride, h_out, w_out)).reshape(o, h_out, w_out, -1)
+    if bias is not None:
+        out += bias.reshape(o, 1, 1, 1)
+    return out.transpose(3, 0, 1, 2), xp
 
 
-def conv2d_bwd(g, xp: np.ndarray, kernel: np.ndarray, stride: int, padding: int, need_x: bool):
-    """(input, kernel) gradients; the input's is None unless ``need_x``."""
-    n_, c, hp, wp = xp.shape
+def conv2d_bwd(g: np.ndarray, xp: np.ndarray, kernel: np.ndarray, stride: int, padding: int, need_x: bool):
+    """(input, kernel, bias) gradients from the padded input ``conv2d_fwd`` saved; the input's is None unless ``need_x``.
+
+    The columns are rebuilt block by block rather than saved.  The input's
+    gradient is the NCHW view of a batch-last [C, H, W, N] array.
+    """
+    c, hp, wp, n_ = xp.shape
     o, _, k, _ = kernel.shape
     h_out, w_out = g.shape[2], g.shape[3]
-    g = g.reshape(n_, o, h_out * w_out)
-    gk = np.empty_like(kernel)
+    gt = g.transpose(1, 2, 3, 0)  # [O, H_out, W_out, N]: a free view when g is batch-last
+    kernel2d = kernel.reshape(o, -1)
+    gk = np.zeros((kernel2d.shape[1], o))
     gxp = np.zeros_like(xp) if need_x else None
-    for a in range(k):
-        for b in range(k):
-            tap = _tap(a, b, stride, h_out, w_out)
-            gk[:, :, a, b] = (g @ xp[tap].reshape(n_, c, h_out * w_out).transpose(0, 2, 1)).sum(axis=0)
-            if gxp is not None:
-                gxp[tap] += (kernel[:, :, a, b].T @ g).reshape(n_, c, h_out, w_out)
-    if gxp is not None and padding:
-        gxp = gxp[:, :, padding : hp - padding, padding : wp - padding]
-    return gxp, gk
+    for blk in _row_blocks(n_, 8 * c * k * k * h_out * w_out):
+        g2d = gt[blk].reshape(o, -1)
+        gk += _columns(xp[blk], k, stride, h_out, w_out) @ g2d.T
+        if gxp is not None:
+            gcols = (kernel2d.T @ g2d).reshape(c, k, k, h_out, w_out, -1)
+            gxb = gxp[blk]
+            for a, b, tap in _taps(k, stride, h_out, w_out):
+                gxb[tap] += gcols[:, a, b]
+    gx = None if gxp is None else gxp[:, padding : hp - padding, padding : wp - padding].transpose(3, 0, 1, 2)
+    return gx, gk.T.reshape(kernel.shape), bias_add_bwd(g)
 
 
 def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -362,8 +416,8 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     H_out = floor((H + 2*padding - K) / stride) + 1, same for W.
     """
     stride, padding = int(stride), int(padding)
-    out, xp = conv2d_fwd(x.data, kernel.data, stride, padding)
-    bwd = lambda g: conv2d_bwd(g, xp, kernel.data, stride, padding, x.requires_grad)
+    out, xp = conv2d_fwd(x.data, kernel.data, None, stride, padding)
+    bwd = lambda g: conv2d_bwd(g, xp, kernel.data, stride, padding, x.requires_grad)[:2]
     return _from_op(out, (x, kernel), "conv2d", bwd)
 
 
@@ -393,7 +447,7 @@ def avg_pool2x2_fwd(x: np.ndarray) -> np.ndarray:
 def avg_pool2x2_bwd(g: np.ndarray) -> np.ndarray:
     n, c, h, w = g.shape
     quarter = g / 4.0
-    gx = np.empty((n, c, 2 * h, 2 * w))
+    gx = np.empty_like(g, shape=(n, c, 2 * h, 2 * w))  # in g's layout, batch-last in a conv block
     for i in (0, 1):
         for j in (0, 1):
             gx[:, :, i::2, j::2] = quarter

@@ -214,6 +214,23 @@ def test_sweep_checks_every_coefficient_before_training(tmp_path, capsys, monkey
     assert not (tmp_path / "neg" / "sweep.csv").exists()
 
 
+def test_sweep_coefficient_out_dir_that_is_a_file_exits_1_before_training(tmp_path, capsys, monkeypatch):
+    from torqueprune import harness
+
+    calls = []
+    real_train = harness.train
+    monkeypatch.setattr(harness, "train", lambda *a, **k: calls.append(1) or real_train(*a, **k))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "beta_0.001").write_text("not a directory\n")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(TOY + f"out_dir = {tmp_path}/out\n")
+    assert main(["sweep", str(cfg), "--betas", "1e-4,1e-3"]) == 1
+    assert "beta_0.001" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert not (tmp_path / "out" / "beta_0.0001").exists()
+
+
 @pytest.mark.parametrize("betas", ["1e-7,1.0000001e-7", "1e-3,1e-3"], ids=["same_name", "duplicate"])
 def test_sweep_coefficients_sharing_a_directory_exit_1(tmp_path, capsys, monkeypatch, betas):
     # both coefficients format to one beta_{:.6g} directory, where the second would overwrite the first

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from torqueprune import tensor
 from torqueprune.tensor import (
     ContractError,
     ShapeError,
@@ -218,7 +219,22 @@ CONV_CASES = [
     (2, 3, 9, 6, 5, 3, 2, 2),
     (1, 1, 4, 4, 1, 3, 3, 1),
     (2, 3, 4, 6, 2, 2, 1, 1),
+    # batches that span two or more row blocks of the column matrix
+    (40, 3, 16, 16, 4, 3, 1, 1),
+    (100, 4, 17, 17, 3, 3, 2, 1),
+    (50, 2, 20, 20, 3, 5, 1, 0),
 ]
+
+
+def _row_blocks(n, c, h, w, o, k, stride, padding):
+    h_out, w_out = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    return len(tensor._row_blocks(n, 8 * c * k * k * h_out * w_out))
+
+
+def test_conv_cases_span_several_row_blocks():
+    blocked = [case for case in CONV_CASES if _row_blocks(*case) > 1]
+    assert len(blocked) >= 3
+    assert any(case[6] == 2 for case in blocked) and any(case[7] == 0 for case in blocked)
 
 
 @pytest.mark.parametrize("n,c,h,w,o,k,stride,padding", CONV_CASES)
@@ -261,6 +277,44 @@ def test_conv2d_forward_builds_no_window_buffer(x_shape, k_shape):
         tracemalloc.stop()
     assert out.shape == (n, k_shape[0], h, w)
     assert peak <= 3 * out_bytes + padded_bytes
+
+
+def _batch_last(a):
+    """Whether ``a`` [N, C, H, W] has the batch axis innermost in memory, then W, H and C."""
+    return a.strides[0] == a.itemsize and a.strides[1] > a.strides[2] > a.strides[3] > a.strides[0]
+
+
+@pytest.mark.parametrize("layout", ["batch_last", "c_order"])
+def test_conv2d_bias_gradient_is_the_bias_add_gradient_bytes(layout):
+    rng = np.random.default_rng(3)
+    x, kern = rng.uniform(-1, 1, (6, 3, 7, 7)), rng.uniform(-1, 1, (4, 3, 3, 3))
+    out, xp = tensor.conv2d_fwd(x, kern, rng.uniform(-1, 1, 4), 2, 1)
+    g = rng.uniform(-1, 1, out.shape)
+    if layout == "batch_last":
+        g = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+    _, _, gb = tensor.conv2d_bwd(g, xp, kern, 2, 1, True)
+    assert gb.tobytes() == tensor.bias_add_bwd(g).tobytes()
+
+
+def test_conv_block_keeps_batch_last_layout():
+    """Conv, relu and pool outputs and their gradients stay batch-last, so no block copies to transpose."""
+    rng = np.random.default_rng(4)
+    k1, b1 = rng.uniform(-1, 1, (4, 3, 3, 3)), rng.uniform(-1, 1, 4)
+    k2, b2 = rng.uniform(-1, 1, (5, 4, 2, 2)), rng.uniform(-1, 1, 5)
+    out, xp = tensor.conv2d_fwd(rng.uniform(-1, 1, (3, 3, 8, 8)), k1, b1, 1, 1)
+    act = tensor.relu_fwd(out)
+    pooled = tensor.avg_pool2x2_fwd(act)
+    out2, xp2 = tensor.conv2d_fwd(pooled, k2, b2, 2, 0)
+    assert all(map(_batch_last, (out, act, pooled, out2)))
+    assert np.shares_memory(xp2, pooled)  # an unpadded conv reads its batch-last input in place
+    g2 = np.ascontiguousarray(rng.uniform(-1, 1, out2.transpose(1, 2, 3, 0).shape)).transpose(3, 0, 1, 2)
+    g_pooled, _, _ = tensor.conv2d_bwd(g2, xp2, k2, 2, 0, True)
+    g_act = tensor.avg_pool2x2_bwd(g_pooled)
+    g_out = tensor.relu_bwd(g_act, out)
+    gx, _, _ = tensor.conv2d_bwd(g_out, xp, k1, 1, 1, True)
+    assert all(map(_batch_last, (g_pooled, g_act, g_out, gx)))
+    # a flatten into a dense layer hands its gradient back in its input's layout
+    assert _batch_last(tensor.reshape_bwd(rng.uniform(-1, 1, (3, 4 * 4 * 4)), pooled))
 
 
 # ---------------------------------------------------------------- relu

@@ -7,6 +7,8 @@ one BLAS thread:
 
 * ``pipeline`` on ``configs/spirals_etp.conf`` and ``configs/sine_regression.conf``;
 * ``pipeline`` on the four ``cnn-pipeline`` benchmark inputs;
+* ``pipeline`` on the variant-0 ``cnn-pipeline`` inputs with ``CNN_STRIDED_ARCH``,
+  a stride-2 conv and a conv that feeds a dense layer without a pool;
 * ``train configs/spirals_etp.conf``;
 * ``sweep --betas 1e-4,1e-3,0`` on the spirals config cut to 8 epochs;
 * ``pipeline`` on six variants of that 8-epoch config (``SPIRALS_8_VARIANTS``):
@@ -59,6 +61,9 @@ SPIRALS_8_VARIANTS = (
     ("spirals_8_heaviside", {"scheme": "heaviside", "heaviside_threshold": "16", "heaviside_force": "1"}),
 )
 
+# a stride above 1, an unpadded conv after a conv, and a conv-to-dense edge without a pool
+CNN_STRIDED_ARCH = "cnn:3x16x16:conv8k3s2p0-conv8k2s1p0-dense4"
+
 
 def runs(inputs) -> list:
     """(name, argv) for every run, writing inputs into the current directory first."""
@@ -71,6 +76,11 @@ def runs(inputs) -> list:
         os.makedirs(f"cnn_v{v}")
         spec = inputs.cnn_pipeline_inputs(f"cnn_v{v}", v)
         out.append((f"pipeline_cnn_v{v}", ["pipeline", spec["config"]]))
+    with open("cnn_v0/cnn_pipeline.conf", encoding="utf-8") as fh:
+        strided = re.sub(r"(?m)^arch = .*$", f"arch = {CNN_STRIDED_ARCH}", fh.read())
+    with open("cnn_strided.conf", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(strided)
+    out.append(("pipeline_cnn_strided", ["pipeline", "cnn_strided.conf", "--out-dir", "cnn_strided"]))
     out.append(("train_spirals", ["train", spirals, "--out-dir", "train_spirals"]))
     with open(spirals, encoding="utf-8") as fh:
         short = re.sub(r"(?m)^epochs = \d+$", "epochs = 8", fh.read())
