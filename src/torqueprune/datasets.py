@@ -128,7 +128,9 @@ def load_csv_dataset(path, task, size=None, seed=0) -> Dataset:
     """Load features-plus-last-column-label rows from a CSV file.
 
     The file carries no header; ``size`` rows go to train (default 80%),
-    the rest to test, after a seeded shuffle.
+    the rest to test, after a seeded shuffle.  A config always passes its
+    ``dataset_size`` (default 1000), so the 80% default serves only direct
+    calls, and a CSV config needs a ``dataset_size`` below its row count.
     """
     try:
         raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)

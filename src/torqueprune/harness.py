@@ -105,7 +105,7 @@ def penalized_layers(cfg: TrainConfig, model: ModelGraph) -> list[int]:
 
 
 def penalty_value(spec: RegularizerSpec, model: ModelGraph, indexings, layers=None) -> float:
-    """The penalty as a number; training logs the same value from each step's loss graph."""
+    """The penalty as a number; training logs the same value from each step's ``penalty_fwd``."""
     # training does not call it; kept by name because the benchmark's timing hooks wrap it
     return model_penalty(spec, model, indexings, layers).item()
 
@@ -156,14 +156,12 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     Each step runs the plain passes that the library's training nodes wrap
     (``forward``, the task loss, ``penalty_fwd`` over distance weights
     computed once per run, ``total_loss_fwd``) and logs the task's and the
-    penalty's values.  Their backward passes write the penalty's gradients,
-    then the task's, into the optimizer's flat gradient buffer with the bits
-    ``backward`` gives the nodes; no node is built.  The step looks its
-    functions up in this module, so hooks installed on it see every step.
+    penalty's values.  Their backward passes add the penalty's gradients,
+    then the task's, into each parameter's ``.grad`` (the optimizer's view)
+    with the bits ``backward`` gives the nodes; no node is built.  The step
+    looks its functions up in this module, so hooks see every step.
     """
-    params = model.parameters()
-    opt = optimizer_for(cfg, params)
-    slot = dict(zip(map(id, params), zip(params, opt.grads)))
+    opt = optimizer_for(cfg, model.parameters())
     n = dataset.train_x.shape[0]
     shuffle_rng = np.random.default_rng(shuffle_seed)
     classification = dataset.task == "classification"
@@ -171,10 +169,9 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     ys = class_labels(dataset.train_y, (n, model.layers[-1].group_count)) if classification else dataset.train_y
     beta = loss_beta(spec)
     pairs = [(model.layers[idx], w) for idx, w in penalty_weights(spec, model, indexings, reg_layers)]
-    # (parameter, its view of the optimizer's gradient vector) in the order each backward pass yields;
-    # a parameter's first gradient of a step is written into its view, so ``opt.step`` reads it in place
-    pen_slots = [slot[id(p)] for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
-    task_slots = [slot[id(p)] for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
+    # the parameters in the order each backward pass yields their gradients
+    pen_params = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
+    task_params = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
     step = 0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -201,11 +198,11 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             task_sum += task * len(idx)
             pen_sum += pen * len(idx)
             if beta:
-                for (p, view), grad in zip(pen_slots, penalty_bwd(pen_saved, beta)):
-                    p._accum(grad, view)
+                for p, grad in zip(pen_params, penalty_bwd(pen_saved, beta)):
+                    p.grad += grad
             g = softmax_cross_entropy_bwd(1.0, *task_saved) if classification else mse_loss_bwd(1.0, *task_saved)
-            for (p, view), grad in zip(task_slots, layers_bwd(saved, g)):
-                p._accum(grad, view)
+            for p, grad in zip(task_params, layers_bwd(saved, g)):
+                p.grad += grad
             opt.step()
             step += 1
         task_mean = task_sum / n
@@ -215,12 +212,14 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             step=step,
             task_loss=task_mean,
             penalty_value=pen_mean,
-            total_loss=task_mean + spec.reg_coefficient * pen_mean,
+            total_loss=total_loss_fwd(task_mean, pen_mean, beta),
             train_accuracy=correct / n if classification else None,
             train_mae=None if classification else abs_sum / (n * dataset.train_y.shape[1]),
             train_mse=None if classification else sq_sum / (n * dataset.train_y.shape[1]),
             current_lr=lr,
         )
+    for p in opt.params:  # a trained model keeps no gradient buffer
+        p.grad = None
 
 
 def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:

@@ -24,11 +24,11 @@ SCHEDULE_KINDS = ("multistep", "step", "cosine", "linear_warmup_decay", "constan
 class Optimizer:
     """Owns flat parameter, gradient and moment vectors and applies one elementwise update rule to them.
 
-    Each parameter's ``.data`` becomes a view of the parameter vector;
-    ``grads[i]`` is parameter i's view of the gradient vector.  ``step``
-    consumes each ``.grad`` (a ``grads`` view is read in place) and clears
-    them, so a missing gradient is always a caller bug and is reported as a
-    contract error.
+    Each parameter's ``.data`` becomes a view of the parameter vector and its
+    ``.grad`` (copied in, or zeros for ``None``) a view of the gradient
+    vector, which ``backward`` adds into.  ``step`` updates the parameters and
+    zeroes the gradient vector; a replaced ``.grad`` (``zero_grad``) would be
+    ignored, so ``step`` reports it as a contract error.
     """
 
     def __init__(
@@ -57,28 +57,23 @@ class Optimizer:
         self.step_count = 0
         ends = list(accumulate((p.data.size for p in self.params), initial=0))
         self._flat = np.empty(ends[-1])
-        self._grad = np.zeros(ends[-1])
+        self._grad = np.empty(ends[-1])
         self.grads = []
         for p, start, end in zip(self.params, ends, ends[1:]):
             view = self._flat[start:end].reshape(p.data.shape)
             view[...] = p.data
             p.data = view
-            self.grads.append(self._grad[start:end].reshape(view.shape))
+            grad = self._grad[start:end].reshape(view.shape)
+            grad[...] = 0.0 if p.grad is None else p.grad
+            p.grad = grad
+            self.grads.append(grad)
         # moment vectors; only Adam and AdamW use the second
         self._velocity = np.zeros_like(self._flat)
         self._second = np.zeros_like(self._flat) if kind != "sgd_momentum" else None
 
     def step(self):
-        for p in self.params:
-            if p.grad is None:
-                raise ContractError(
-                    "optimizer step requires a gradient for every parameter; "
-                    "run backward() before step()"
-                )
-        for p, view in zip(self.params, self.grads):
-            if p.grad is not view:
-                view[...] = p.grad
-            p.grad = None
+        if any(p.grad is not view for p, view in zip(self.params, self.grads)):
+            raise ContractError("a parameter's .grad was replaced; add gradients into the optimizer's view in place")
         self.step_count += 1
         w, g, m, v = self._flat, self._grad, self._velocity, self._second
         decoupled = self.kind == "adamw"
@@ -88,15 +83,16 @@ class Optimizer:
             m *= self.momentum
             m += g
             w -= self.lr * m
-            return
-        b1, b2 = self.betas
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        if decoupled and self.weight_decay:
-            w -= self.lr * self.weight_decay * w
-        w -= self.lr * (m / (1.0 - b1**self.step_count)) / (np.sqrt(v / (1.0 - b2**self.step_count)) + self.eps)
+        else:
+            b1, b2 = self.betas
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            if decoupled and self.weight_decay:
+                w -= self.lr * self.weight_decay * w
+            w -= self.lr * (m / (1.0 - b1**self.step_count)) / (np.sqrt(v / (1.0 - b2**self.step_count)) + self.eps)
+        self._grad.fill(0.0)
 
 
 @dataclass(frozen=True)

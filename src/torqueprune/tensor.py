@@ -58,7 +58,7 @@ class ContractError(ValueError):
 class Tensor:
     """N-d float64 array with an optional gradient buffer.
 
-    ``grad`` stays ``None`` until ``backward`` reaches the tensor; repeated
+    ``grad`` stays ``None`` until ``backward`` or an ``Optimizer`` binds it;
     backward passes accumulate into it until ``zero_grad``.  Tensors created
     by operations remember their inputs (``_parents``), the local backward
     rule (``_bwd``) and their depth in the graph (``_rank``: 1 + the highest
@@ -95,11 +95,11 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray, out: np.ndarray | None = None) -> None:
-        """Add ``g`` to ``grad``; a first gradient is written into ``out`` (default: a new array) and bound to ``grad``."""
+    def _accum(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad`` in place; a first gradient is bound to ``grad`` as a new array."""
         if self.grad is None:
             # the bits of zeros + g (-0.0 becomes +0.0) without a zeros buffer
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data) if out is None else out)
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
         else:
             self.grad += g
 

@@ -133,6 +133,26 @@ def test_config_error_exit_1(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing.cfg")]) == 1
 
 
+def test_non_utf8_config_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(TOY.encode() + b"# caf\xe9\n")
+    assert main(["train", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+
+def test_csv_needs_dataset_size_below_its_rows(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    csv = tmp_path / "data.csv"
+    np.savetxt(csv, np.column_stack([rng.uniform(-1, 1, (50, 2)), np.arange(50) % 2]), delimiter=",")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(f"arch = mlp:2-4-2\ndataset = csv:{csv}\nepochs = 1\nout_dir = {tmp_path}/csv\n")
+    assert main(["train", str(cfg)]) == 1
+    assert "has 50 rows; cannot take 1000 for train" in capsys.readouterr().err
+    cfg.write_text(cfg.read_text() + "dataset_size = 40\n")
+    assert main(["train", str(cfg)]) == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

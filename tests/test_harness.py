@@ -51,6 +51,11 @@ def test_scheme_none_penalty_column_zero():
     assert all(r.total_loss == r.task_loss for r in result.metrics)
 
 
+def test_trained_model_keeps_no_gradient_buffer():
+    # each .grad is a view of the optimizer's gradient vector only while training runs
+    assert all(p.grad is None for p in train(toy_config()).model.parameters())
+
+
 def test_train_determinism():
     cfg = toy_config("scheme = exponential_etp\nreg_coefficient = 1e-3\n")
     a = train(cfg)

@@ -15,7 +15,7 @@ def param(value):
 
 
 def set_grad(t, g):
-    t.grad = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
+    t.grad[...] = np.asarray(g, dtype=np.float64).reshape(t.data.shape)
 
 
 # ---------------------------------------------------------------- sgd
@@ -50,19 +50,25 @@ def test_sgd_weight_decay_folded_into_gradient():
     assert w.data[0] == pytest.approx(1.9, abs=1e-15)
 
 
-def test_missing_grad_is_contract_error():
+def test_replaced_grad_is_contract_error():
     w = param([1.0])
     opt = Optimizer([w], kind="sgd_momentum", lr=0.1)
+    w.zero_grad()
     with pytest.raises(ContractError):
         opt.step()
+    w.grad = np.ones(1)
+    with pytest.raises(ContractError):
+        opt.step()
+    assert w.data[0] == 1.0 and opt.step_count == 0
 
 
 def test_grads_cleared_after_step():
     w = param([1.0])
     opt = Optimizer([w], kind="sgd_momentum", lr=0.1)
+    view = w.grad
     set_grad(w, [1.0])
     opt.step()
-    assert w.grad is None
+    assert w.grad is view and w.grad.tolist() == [0.0]
 
 
 def test_step_count_increments_by_one():
@@ -248,16 +254,20 @@ def test_flat_update_matches_per_parameter_reference_bytes(kind, weight_decay):
 
 def test_parameters_become_views_of_one_flat_vector():
     params = [param(np.full(shape, float(i))) for i, shape in enumerate(SHAPES)]
+    params[1].grad = np.full(3, 5.0)
     opt = Optimizer(params, kind="adam", lr=0.1)
     base = params[0].data.base
     assert base is not None and all(p.data.base is base for p in params)
     assert base.tolist() == [0.0, 1.0, 1.0, 1.0] + [2.0] * 6 + [3.0] * 18 + [4.0]
-    # a gradient written into the optimizer's own view is read in place
+    # each .grad is the parameter's view of one flat gradient vector: a held gradient is copied in, None is zeros
+    grad_base = params[0].grad.base
+    assert grad_base is not None and grad_base is not base
+    assert grad_base.tolist() == [0.0, 5.0, 5.0, 5.0] + [0.0] * 25
     for p, view in zip(params, opt.grads):
-        assert view.shape == p.data.shape
-        p.grad = np.add(np.ones(view.shape), 0.0, out=view)
+        assert p.grad is view and view.base is grad_base and view.shape == p.data.shape
+        p.grad += 1.0
     opt.step()
-    assert all(p.grad is None for p in params)
+    assert not grad_base.any()
     assert np.allclose(base, [-0.1, 0.9, 0.9, 0.9] + [1.9] * 6 + [2.9] * 18 + [3.9])
 
 
