@@ -133,7 +133,7 @@ def load_csv_dataset(path, task, size=None, seed=0) -> Dataset:
     calls, and a CSV config needs a ``dataset_size`` below its row count.
     """
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        raw = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read dataset csv {path!r}: {exc}") from None
     except ValueError as exc:

@@ -29,7 +29,7 @@ from .optim import LrSchedule, Optimizer, lr_at
 from .pruner import UnreachableTargetError, accuracy_drop, apply_plan, count_macs, plan_by_budget, plan_by_threshold, speedup
 from .regularizers import RegularizerSpec, loss_beta, model_penalty, penalty_bwd, penalty_fwd, penalty_weights, total_loss_fwd
 from .tensor import class_labels, mse_loss_bwd, mse_loss_fwd, softmax_cross_entropy_bwd, softmax_cross_entropy_fwd
-# Unused here since the step runs the plain passes: the benchmark's tracer wraps these nodes by name here.
+# Unused here since the step runs the plain passes: the benchmark's tracer wraps these by name here.
 from .regularizers import total_loss
 from .tensor import backward, softmax_cross_entropy
 
@@ -153,13 +153,13 @@ def _score(out: np.ndarray, y: np.ndarray, classification: bool) -> tuple[float,
 def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, reg_layers):
     """The seeded mini-batch loop of ``train`` and ``finetune``: one MetricsRecord per epoch.
 
-    Each step runs the plain passes that the library's training nodes wrap
+    Each step runs the plain passes of the library's training graph
     (``forward``, the task loss, ``penalty_fwd`` over distance weights
     computed once per run, ``total_loss_fwd``) and logs the task's and the
     penalty's values.  Their backward passes add the penalty's gradients,
     then the task's, into each parameter's ``.grad`` (the optimizer's view)
-    with the bits ``backward`` gives the nodes; no node is built.  The step
-    looks its functions up in this module, so hooks see every step.
+    with the bits ``backward`` gives through that graph; no node is built.
+    The step looks its functions up in this module, so hooks see every step.
     """
     opt = optimizer_for(cfg, model.parameters())
     n = dataset.train_x.shape[0]

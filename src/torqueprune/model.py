@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, _from_op, group_norm_array, linear_bwd, linear_fwd, relu_bwd, relu_fwd
+from .tensor import ShapeError, Tensor, group_norm_array, linear_bwd, linear_fwd, relu_bwd, relu_fwd
 from .tensor import avg_pool2x2_bwd, avg_pool2x2_fwd, conv2d_bwd, conv2d_fwd, reshape_bwd
+from .tensor import avg_pool2x2, bias_add, conv2d, linear, relu, reshape
 
-# Unused here since ``forward`` runs their kernels and the penalty runs the
-# group-norm kernels: the benchmark's op tracer wraps these ops by name here.
-from .tensor import avg_pool2x2, bias_add, conv2d, group_norms, matmul, relu, reshape, transpose
+# Unused here: the benchmark's op tracer wraps these ops by name here.
+from .tensor import group_norms, matmul, transpose
 
 __all__ = [
     "ConstructionError",
@@ -387,15 +387,14 @@ def group_norm_values(model: ModelGraph) -> list[np.ndarray]:
     ]
 
 
-def layers_fwd(model: ModelGraph, x: np.ndarray, need_x: bool = False) -> tuple[np.ndarray, list]:
+def layers_fwd(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Run the forward kernels on an array [B, *input_shape]: (output, saved for ``layers_bwd``).
 
-    A dense layer flattens a conv map first; ``need_x`` asks for the input's gradient.
+    ``forward`` without the graph, bit for bit; a dense layer flattens a conv map first.
     """
     expected = tuple(model.input_shape)
     if x.shape[1:] != expected:
         raise ShapeError(f"batch shape {x.shape} does not match input shape {expected}")
-    flowing = need_x  # whether the current layer's input needs a gradient
     saved = []
     for layer in model.layers:
         unflat = None  # a dense layer's input before it is flattened
@@ -406,8 +405,7 @@ def layers_fwd(model: ModelGraph, x: np.ndarray, need_x: bool = False) -> tuple[
             if x.ndim > 2:
                 unflat, x = x, x.reshape(x.shape[0], math.prod(x.shape[1:]))
             out = linear_fwd(x, layer.weight.data, b)
-        saved.append((layer, unflat, x, out, flowing))
-        flowing = flowing or layer.weight.requires_grad or (b is not None and layer.bias.requires_grad)
+        saved.append((layer, unflat, x, out))
         x = relu_fwd(out) if layer.activation == "relu" else out
         x = avg_pool2x2_fwd(x) if layer.pool else x
     return x, saved
@@ -416,28 +414,41 @@ def layers_fwd(model: ModelGraph, x: np.ndarray, need_x: bool = False) -> tuple[
 def layers_bwd(saved: list, g: np.ndarray):
     """Run a ``layers_fwd`` pass's backward kernels, last layer first, for output gradient ``g``.
 
-    Yields each layer's weight and bias gradients as soon as it has them, then the input's if asked for.
+    Yields each layer's weight and bias gradients as soon as it has them;
+    every layer but the first passes its input's gradient on.
     """
-    for layer, unflat, x, out, need_x in reversed(saved):
+    for i, (layer, unflat, x, out) in reversed(list(enumerate(saved))):
         g = avg_pool2x2_bwd(g) if layer.pool else g
         if layer.activation == "relu":
             g = relu_bwd(g, out)
         if layer.kind == "conv2d":
-            g, gw, gb = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, need_x)
+            g, gw, gb = conv2d_bwd(g, x, layer.weight.data, layer.stride, layer.padding, i > 0)
         else:
-            g, gw, gb = linear_bwd(g, x, layer.weight.data, need_x)
+            g, gw, gb = linear_bwd(g, x, layer.weight.data, i > 0)
             if g is not None and unflat is not None:
                 g = reshape_bwd(g, unflat)
         yield gw
         if layer.bias is not None:
             yield gb
-        if g is None:
-            return
-    yield g
 
 
 def forward(model: ModelGraph, batch: Tensor) -> Tensor:
-    """``layers_fwd`` and ``layers_bwd`` as one graph node over every parameter and the batch: the bits of one node per op."""
-    out, saved = layers_fwd(model, batch.data, batch.requires_grad)
-    parents = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
-    return _from_op(out, parents + [batch], "forward", lambda g: layers_bwd(saved, g))
+    """The layer stack on a batch [B, *input_shape] as one graph node per op: ``layers_fwd`` as a graph."""
+    expected = tuple(model.input_shape)
+    if batch.shape[1:] != expected:
+        raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
+    x = batch
+    for layer in model.layers:
+        if layer.kind == "conv2d":
+            x = conv2d(x, layer.weight, layer.stride, layer.padding)
+            if layer.bias is not None:
+                x = bias_add(x, layer.bias)
+        else:
+            if len(x.shape) > 2:
+                x = reshape(x, (x.shape[0], math.prod(x.shape[1:])))
+            x = linear(x, layer.weight, layer.bias)
+        if layer.activation == "relu":
+            x = relu(x)
+        if layer.pool:
+            x = avg_pool2x2(x)
+    return x

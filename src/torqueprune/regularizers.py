@@ -18,15 +18,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .model import GroupIndexing, GroupedLayer, ModelGraph
-from .tensor import ContractError, ShapeError, Tensor, _from_op, group_norms_bwd, group_norms_fwd
-
-# Unused here since the penalty and ``total_loss`` are single nodes: the
-# benchmark's op tracer wraps these ops by name here.
-from .tensor import add, scale, weighted_sum
+from .tensor import ContractError, Tensor, add, group_norms, group_norms_bwd, group_norms_fwd, scale, weighted_sum
 
 __all__ = [
     "SCHEMES",
@@ -124,7 +121,7 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
 def penalty_fwd(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> tuple[float, list]:
     """(sum of ``vdot(group norms, weights)`` over (layer, weights) pairs, saved for ``penalty_bwd``); 0 when empty.
 
-    Terms add in order: value and gradients have the bits of ``add``-chained ``weighted_sum(group_norms(...))``.
+    Terms add in order: value and gradients have the bits of the ``weighted_penalty`` graph.
     """
     value, saved = None, []
     for layer, w in pairs:
@@ -144,20 +141,11 @@ def penalty_bwd(saved: list, g: float):
             yield gb
 
 
-def _penalty(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> Tensor:
-    """``penalty_fwd`` over (layer, weights) pairs as one node whose backward is ``penalty_bwd``."""
-    if not pairs:
-        return Tensor(0.0)
-    value, saved = penalty_fwd(pairs)
-    parents = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
-    return _from_op(np.asarray(value), parents, "penalty", lambda g: penalty_bwd(saved, g))
-
-
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:
     """Differentiable sum over groups of norm * distance_weight for one layer."""
     if spec.scheme == "none":
         return Tensor(0.0)
-    return _penalty([(layer, _weights_for_layer(spec, layer, indexing))])
+    return weighted_sum(group_norms(layer.weight, layer.bias), _weights_for_layer(spec, layer, indexing))
 
 
 def penalty_weights(
@@ -184,8 +172,9 @@ def penalty_weights(
 
 
 def weighted_penalty(model: ModelGraph, weights: list[tuple[int, np.ndarray]]) -> Tensor:
-    """Sum of layer penalties for weights from ``penalty_weights``, as one node; 0 when there are none."""
-    return _penalty([(model.layers[idx], w) for idx, w in weights])
+    """``add``-chained ``weighted_sum(group_norms(...))`` layer terms for weights from ``penalty_weights``; 0 for none."""
+    terms = [weighted_sum(group_norms(model.layers[idx].weight, model.layers[idx].bias), w) for idx, w in weights]
+    return reduce(add, terms) if terms else Tensor(0.0)
 
 
 def model_penalty(
@@ -212,23 +201,6 @@ def total_loss_fwd(task, penalty, beta: float):
 
 
 def total_loss(task_loss: Tensor, spec: RegularizerSpec, penalty: Tensor) -> Tensor:
-    """``total_loss_fwd`` of both operands as one node; exact pass-through when the penalty is off.
-
-    The node's parents are both operands' parents (a leaf operand is its own
-    parent).  Its backward runs the task's rule with the incoming gradient,
-    then the penalty's with that gradient times beta: the bits of
-    ``add(task_loss, scale(penalty, beta))``.
-    """
+    """``add(task_loss, scale(penalty, beta))``; ``task_loss`` itself when the penalty is off."""
     beta = loss_beta(spec)
-    if not beta:
-        return task_loss
-    if task_loss.shape != penalty.shape:
-        raise ShapeError(f"add: shapes {task_loss.shape} and {penalty.shape} differ")
-    # (parents, rule) of each operand
-    task, pen = ((t._parents, t._bwd) if t._bwd is not None else ((t,), lambda g: (g,)) for t in (task_loss, penalty))
-
-    def bwd(g):
-        yield from task[1](g)
-        yield from pen[1](g * beta)
-
-    return _from_op(total_loss_fwd(task_loss.data, penalty.data, beta), task[0] + pen[0], "total_loss", bwd)
+    return add(task_loss, scale(penalty, beta)) if beta else task_loss

@@ -6,8 +6,9 @@ its tensors.  A graph and the tensors on it belong to one run; separate runs
 share nothing, so they may live on separate threads.
 
 Each layer op is a forward and a backward array kernel, ``<op>_fwd`` and
-``<op>_bwd``; its ``Tensor`` op wraps the pair as one node, and larger nodes
-(``model.forward``, the penalty node of ``regularizers``) call the same kernels.
+``<op>_bwd``, and its ``Tensor`` op wraps the pair as one node.  This module
+is the only one that builds nodes: the library's layer stack, penalty and
+loss are graphs of these ops, and training runs the kernels without a graph.
 
 Everything is float64.  Gradient checks against central differences at
 rtol 1e-5 are the correctness bar, and that is not reachable in float32.
@@ -63,8 +64,7 @@ class Tensor:
     by operations remember their inputs (``_parents``), the local backward
     rule (``_bwd``) and their depth in the graph (``_rank``: 1 + the highest
     parent rank); leaf tensors have no parents or rule and rank 0.  A rule
-    returns or yields one gradient (or None) per parent, in parent order; a
-    yielded gradient is passed on before the rule computes the next one.
+    returns one gradient (or None) per parent, in parent order.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op", "_rank")

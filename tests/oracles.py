@@ -3,39 +3,17 @@
 None of this is part of the package.  Each helper recomputes something the
 package does in one vectorized pass (gradients, per-group norms, the
 heaviside penalty, successor slices, convolution, relu, pooling, the dense
-layer, the rows of a norm snapshot, the penalty, the training loss, the
-optimizer updates) the slow and obvious way, so tests can hold the fast
-path to it.
+layer, the rows of a norm snapshot, the optimizer updates) the slow and
+obvious way, so tests can hold the fast path to it.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from torqueprune.model import GroupedLayer, GroupIndexing, ModelGraph, group_norm_values, layer_output_shapes
-from torqueprune.tensor import (
-    NORM_EPS,
-    ContractError,
-    ShapeError,
-    Tensor,
-    _from_op,
-    add,
-    avg_pool2x2,
-    bias_add,
-    conv2d,
-    group_norm_array,
-    group_norms,
-    linear,
-    matmul,
-    relu,
-    reshape,
-    scale,
-    transpose,
-    weighted_sum,
-)
+from torqueprune.tensor import NORM_EPS, ContractError, Tensor, _from_op, bias_add, group_norm_array, matmul, transpose
 
 
 def finite_diff_grad(f, x: Tensor, h: float = 1e-4) -> Tensor:
@@ -193,41 +171,6 @@ def dense_chain_reference(x: Tensor, weight: Tensor, bias: Tensor | None = None)
     """A dense layer as three nodes: ``bias_add(matmul(x, transpose(weight)), bias)``."""
     out = matmul(x, transpose(weight))
     return out if bias is None else bias_add(out, bias)
-
-
-def forward_reference(model: ModelGraph, batch: Tensor) -> Tensor:
-    """``model.forward`` as one graph node per op: reshape, conv2d, bias_add, linear, relu, avg_pool2x2."""
-    expected = tuple(model.input_shape)
-    if batch.shape[1:] != expected:
-        raise ShapeError(f"batch shape {batch.shape} does not match input shape {expected}")
-    x = batch
-    for layer in model.layers:
-        if layer.kind == "dense" and len(x.shape) > 2:
-            x = reshape(x, (x.shape[0], int(np.prod(x.shape[1:]))))
-        if layer.kind == "conv2d":
-            x = conv2d(x, layer.weight, stride=layer.stride, padding=layer.padding)
-            if layer.bias is not None:
-                x = bias_add(x, layer.bias)
-        else:
-            x = linear(x, layer.weight, layer.bias)
-        if layer.activation == "relu":
-            x = relu(x)
-        if layer.pool:
-            x = avg_pool2x2(x)
-    return x
-
-
-def penalty_reference(model: ModelGraph, weights) -> Tensor:
-    """``weighted_penalty`` as one node per op: ``add``-chained ``weighted_sum(group_norms(w, b), weights)`` terms."""
-    terms = [weighted_sum(group_norms(model.layers[idx].weight, model.layers[idx].bias), w) for idx, w in weights]
-    return reduce(add, terms) if terms else Tensor(0.0)
-
-
-def loss_reference(task: Tensor, spec, pen: Tensor) -> Tensor:
-    """``total_loss`` as one node per op, ``add(task, scale(pen, beta))``; the task when the penalty is off."""
-    if spec.scheme == "none" or spec.reg_coefficient == 0.0:
-        return task
-    return add(task, scale(pen, spec.reg_coefficient))
 
 
 def sgd_reference(params, grads, velocity, lr, momentum, weight_decay) -> None:

@@ -141,6 +141,13 @@ def test_non_utf8_config_exit_1(tmp_path, capsys):
     assert err.startswith("error: cannot read config") and "Traceback" not in err
 
 
+def test_config_with_byte_order_mark_exit_0(tmp_path, capsys):
+    for name, text in (("key_first", TOY_CNN.lstrip()), ("blank_first", TOY_CNN)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["macs", str(cfg)]) == 0, capsys.readouterr().err
+
+
 def test_csv_needs_dataset_size_below_its_rows(tmp_path, capsys):
     rng = np.random.default_rng(0)
     csv = tmp_path / "data.csv"

@@ -133,6 +133,15 @@ def test_csv_roundtrip_regression(tmp_path):
     assert ds.task == "regression"
 
 
+def test_csv_with_byte_order_mark_loads_like_without(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("0.5,1\n0.25,0\n-1.5,1\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a = load_csv_dataset(str(plain), "classification", size=2, seed=0)
+    b = load_csv_dataset(str(marked), "classification", size=2, seed=0)
+    assert bits(a) == bits(b)
+
+
 def test_csv_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_csv_dataset(str(tmp_path / "missing.csv"), "classification")

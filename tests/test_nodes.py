@@ -1,11 +1,11 @@
-"""The library's two training nodes and the training step that runs their plain passes.
+"""The library's graph against the training step's plain passes.
 
-The nodes are the layer stack (``forward``) and the training objective,
-``total_loss`` over the task loss (``softmax_cross_entropy`` or ``mse_loss``)
-and ``weighted_penalty``.  Both must give the bits of the per-op graphs they
-replace: ``oracles.forward_reference``, and ``oracles.loss_reference`` over
-``oracles.penalty_reference``.  The training step builds no node, and must
-give the bits of those nodes with ``backward`` and ``Optimizer.step``.
+The library builds the layer stack (``forward``), the penalty
+(``weighted_penalty``) and the training loss (``total_loss``) from the
+per-op ``Tensor`` ops.  The training step builds no node: it runs the plain
+passes (``layers_fwd``/``layers_bwd``, the loss kernels,
+``penalty_fwd``/``penalty_bwd`` and ``total_loss_fwd``), and must give the
+graph's values, and the parameter gradients of ``backward``, bit for bit.
 """
 
 import dataclasses
@@ -18,12 +18,34 @@ import pytest
 from torqueprune import harness
 from torqueprune.config import TrainConfig, optimizer_for, parse_config
 from torqueprune.datasets import Dataset
-from torqueprune.model import ConstructionError, build_model, forward, model_indexings
+from torqueprune.model import ConstructionError, build_model, forward, layers_bwd, layers_fwd, model_indexings
 from torqueprune.optim import LrSchedule
-from torqueprune.regularizers import SCHEMES, RegularizerSpec, penalty_weights, total_loss, weighted_penalty
-from torqueprune.tensor import ShapeError, Tensor, backward, mse_loss, softmax_cross_entropy, weighted_sum
+from torqueprune.regularizers import (
+    SCHEMES,
+    RegularizerSpec,
+    loss_beta,
+    penalty_bwd,
+    penalty_fwd,
+    penalty_weights,
+    total_loss,
+    total_loss_fwd,
+    weighted_penalty,
+)
+from torqueprune.tensor import (
+    ShapeError,
+    Tensor,
+    backward,
+    class_labels,
+    mse_loss,
+    mse_loss_bwd,
+    mse_loss_fwd,
+    softmax_cross_entropy,
+    softmax_cross_entropy_bwd,
+    softmax_cross_entropy_fwd,
+    weighted_sum,
+)
 
-from oracles import finite_diff_grad, forward_reference, loss_reference, penalty_reference
+from oracles import finite_diff_grad
 
 
 def _draw_arch(rng) -> str:
@@ -49,19 +71,26 @@ def _draw_arch(rng) -> str:
 ARCHS = [_draw_arch(np.random.default_rng([5, i])) for i in range(24)]
 
 
-def _twins(arch: str, seed: int, frozen=()):
-    """Two identical models; the layers in ``frozen`` take no gradient."""
-    models = build_model(arch, seed=seed), build_model(arch, seed=seed)
-    for model in models:
-        for l in frozen:
-            model.layers[l].weight.requires_grad = False
-            model.layers[l].bias.requires_grad = False
-    return models
+def _plain_grads(model, saved, g, pairs=(), pen_saved=(), beta=0.0):
+    """Each trainable parameter's gradient bytes as the training step builds them.
+
+    Into zeros: the penalty's gradients for gradient ``beta`` (when ``beta``
+    is set) from ``penalty_bwd`` over the (layer, weights) ``pairs``, then
+    the task's from ``layers_bwd`` for output gradient ``g``.
+    """
+    grads = {id(p): np.zeros_like(p.data) for p in model.parameters()}
+    if beta:
+        pen_params = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
+        for p, grad in zip(pen_params, penalty_bwd(pen_saved, beta)):
+            grads[id(p)] += grad
+    task_params = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
+    for p, grad in zip(task_params, layers_bwd(saved, g)):
+        grads[id(p)] += grad
+    return [grads[id(p)].tobytes() for p in model.parameters() if p.requires_grad]
 
 
-def _leaf_grads(model, batch):
-    grads = [None if p.grad is None else p.grad.tobytes() for p in model.parameters()]
-    return grads + [None if batch.grad is None else batch.grad.tobytes()]
+def _graph_grads(model):
+    return [p.grad.tobytes() for p in model.parameters() if p.requires_grad]
 
 
 def test_drawn_architectures_cover_every_layer_option():
@@ -73,54 +102,47 @@ def test_drawn_architectures_cover_every_layer_option():
 @pytest.mark.parametrize("arch", ARCHS)
 def test_forward_matches_per_op_graph_bytes(arch):
     rng = np.random.default_rng(zlib.crc32(arch.encode()))
-    new, old = _twins(arch, seed=int(rng.integers(100)))
-    batch = rng.normal(0.0, 1.0, (int(rng.integers(1, 6)),) + new.input_shape)
+    model = build_model(arch, seed=int(rng.integers(100)))
+    batch = rng.normal(0.0, 1.0, (int(rng.integers(1, 6)),) + model.input_shape)
+    out, saved = layers_fwd(model, batch)
+    coeffs = rng.normal(0.0, 1.0, out.shape)
+    plain = _plain_grads(model, saved, coeffs)
     for requires_grad in (False, True):
-        x_new, x_old = Tensor(batch, requires_grad), Tensor(batch, requires_grad)
-        out_new, out_old = forward(new, x_new), forward_reference(old, x_old)
-        assert out_new.data.tobytes() == out_old.data.tobytes()
-        coeffs = rng.normal(0.0, 1.0, out_new.shape)
-        backward(weighted_sum(out_new, coeffs))
-        backward(weighted_sum(out_old, coeffs))
-        assert _leaf_grads(new, x_new) == _leaf_grads(old, x_old)
+        graph = forward(model, Tensor(batch, requires_grad))
+        assert graph.data.tobytes() == out.tobytes()
+        model.zero_grad()
+        backward(weighted_sum(graph, coeffs))
+        assert _graph_grads(model) == plain
 
 
 @pytest.mark.parametrize("arch", ARCHS[:8])
 def test_forward_with_frozen_layers_matches_per_op_graph_bytes(arch):
-    new, old = _twins(arch, seed=1, frozen=[0])
-    batch = np.random.default_rng(2).normal(0.0, 1.0, (3,) + new.input_shape)
-    x_new, x_old = Tensor(batch), Tensor(batch)
-    out_new, out_old = forward(new, x_new), forward_reference(old, x_old)
-    assert out_new.data.tobytes() == out_old.data.tobytes()
-    if len(new.layers) > 1:
-        backward(weighted_sum(out_new, np.ones(out_new.shape)))
-        backward(weighted_sum(out_old, np.ones(out_old.shape)))
-        assert new.layers[0].weight.grad is None
-        assert _leaf_grads(new, x_new) == _leaf_grads(old, x_old)
+    model = build_model(arch, seed=1)
+    model.layers[0].weight.requires_grad = model.layers[0].bias.requires_grad = False
+    batch = np.random.default_rng(2).normal(0.0, 1.0, (3,) + model.input_shape)
+    out, saved = layers_fwd(model, batch)
+    graph = forward(model, Tensor(batch))
+    assert graph.data.tobytes() == out.tobytes()
+    if len(model.layers) > 1:
+        backward(weighted_sum(graph, np.ones(out.shape)))
+        assert model.layers[0].weight.grad is None and model.layers[0].bias.grad is None
+        assert _graph_grads(model) == _plain_grads(model, saved, np.ones(out.shape))
     else:
-        assert not out_new.requires_grad
-
-
-def test_forward_is_one_node_over_every_parameter_and_the_batch():
-    model = build_model("cnn:2x6x6:conv3k3s1p1-pool-dense4-dense2", seed=0)
-    x = Tensor(np.zeros((2, 2, 6, 6)))
-    out = forward(model, x)
-    assert out._rank == 1
-    assert set(map(id, out._parents)) == set(map(id, model.parameters() + [x]))
+        assert not graph.requires_grad
 
 
 def _case(task: str, scheme: str, beta: float, penalize_output: bool):
     arch = "mlp:3-6-5-3" if task == "classification" else "cnn:1x4x4:conv2k3s1p1-pool-dense2"
     rng = np.random.default_rng(7)
-    models = _twins(arch, seed=3)
-    shape = (8,) + models[0].input_shape
+    model = build_model(arch, seed=3)
+    shape = (8,) + model.input_shape
     x = rng.normal(0.0, 1.0, shape)
     y = rng.integers(0, 3, 8) if task == "classification" else rng.normal(0.0, 1.0, (8, 2))
     extra = {"heaviside_threshold": 1.0, "heaviside_force": 2.0} if scheme == "heaviside" else {}
     spec = RegularizerSpec(scheme=scheme, reg_coefficient=beta, **extra)
-    layers = None if penalize_output else range(len(models[0].layers) - 1)
-    weights = penalty_weights(spec, models[0], model_indexings(models[0], "random", 4), layers)
-    return models, x, y, spec, weights
+    layers = None if penalize_output else range(len(model.layers) - 1)
+    weights = penalty_weights(spec, model, model_indexings(model, "random", 4), layers)
+    return model, x, y, spec, weights
 
 
 OBJECTIVE_CASES = [
@@ -143,25 +165,30 @@ def _task_loss(out, y, classification: bool):
 
 @pytest.mark.parametrize("task, scheme, beta, penalize_output", OBJECTIVE_CASES)
 def test_objective_matches_loss_composition_bytes(task, scheme, beta, penalize_output):
-    (new, old), x, y, spec, weights = _case(task, scheme, beta, penalize_output)
+    model, x, y, spec, weights = _case(task, scheme, beta, penalize_output)
     classification = task == "classification"
-    out_new = forward(new, Tensor(x))
-    task_new, pen_new = _task_loss(out_new, y, classification), weighted_penalty(new, weights)
-    loss = total_loss(task_new, spec, pen_new)
+    graph_task = _task_loss(forward(model, Tensor(x)), y, classification)
+    graph_pen = weighted_penalty(model, weights)
+    loss = total_loss(graph_task, spec, graph_pen)
 
-    out_old = forward_reference(old, Tensor(x))
-    task_old, pen_old = _task_loss(out_old, y, classification), penalty_reference(old, weights)
-    old_loss = loss_reference(task_old, spec, pen_old)
+    out, saved = layers_fwd(model, x)
+    if classification:
+        plain_task, *task_saved = softmax_cross_entropy_fwd(out, class_labels(y, out.shape))
+        g = softmax_cross_entropy_bwd(1.0, *task_saved)
+    else:
+        plain_task, *task_saved = mse_loss_fwd(out, y)
+        g = mse_loss_bwd(1.0, *task_saved)
+    pairs = [(model.layers[idx], w) for idx, w in weights]
+    plain_pen, pen_saved = penalty_fwd(pairs)
+    value = total_loss_fwd(plain_task, plain_pen, loss_beta(spec))
 
-    assert loss.data.tobytes() == old_loss.data.tobytes()
-    assert task_new.item() == task_old.item() and pen_new.item() == pen_old.item()
+    assert loss.data.tobytes() == np.float64(value).tobytes()
+    assert graph_task.data.tobytes() == np.float64(plain_task).tobytes()
+    assert graph_pen.data.tobytes() == np.float64(plain_pen).tobytes()
     if scheme != "none":
-        assert pen_new.item() > 0.0  # computed and reported even when beta is 0
-    assert loss._rank == 2 and loss._parents[0] is out_new
+        assert plain_pen > 0.0  # computed and reported even when beta is 0
     backward(loss)
-    backward(old_loss)
-    for p_new, p_old in zip(new.parameters(), old.parameters()):
-        assert p_new.grad.tobytes() == p_old.grad.tobytes()
+    assert _graph_grads(model) == _plain_grads(model, saved, g, pairs, pen_saved, loss_beta(spec))
 
 
 def _fd_check(build_loss, params):
@@ -196,7 +223,7 @@ def test_forward_matches_finite_differences(arch):
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 def test_objective_matches_finite_differences(task):
-    (model, _), x, y, spec, weights = _case(task, "exponential_etp", 5e-2, True)
+    model, x, y, spec, weights = _case(task, "exponential_etp", 5e-2, True)
     out = Tensor(forward(model, Tensor(x)).data, requires_grad=True)
     build = lambda: total_loss(_task_loss(out, y, task == "classification"), spec, weighted_penalty(model, weights))
     _fd_check(build, [out] + model.parameters())
@@ -205,12 +232,13 @@ def test_objective_matches_finite_differences(task):
 def test_forward_raises_shape_error_when_a_weight_no_longer_fits():
     model = build_model("mlp:3-4-2", seed=0)
     model.layers[1].weight = Tensor(np.zeros((2, 5)), requires_grad=True)
-    with pytest.raises(ShapeError, match="does not fit weight"):
-        forward(model, Tensor(np.zeros((2, 3))))
     conv = build_model("cnn:2x4x4:conv3k3s1p1-conv2k3s1p1", seed=0)
     conv.layers[1].weight = Tensor(np.zeros((2, 4, 3, 3)), requires_grad=True)
-    with pytest.raises(ShapeError, match="input channels"):
-        forward(conv, Tensor(np.zeros((1, 2, 4, 4))))
+    for run in (lambda m, x: forward(m, Tensor(x)), layers_fwd):
+        with pytest.raises(ShapeError, match="does not fit weight"):
+            run(model, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match="input channels"):
+            run(conv, np.zeros((1, 2, 4, 4)))
 
 
 def test_objective_label_out_of_range_raises_the_loss_error():
@@ -274,7 +302,7 @@ def _step_case(arch: str, task: str, seed: int):
 
 
 def _library_epoch(cfg, model, dataset, spec, indexings, layers, shuffle_seed):
-    """One epoch through the node API: ``forward`` + ``total_loss(task, weighted_penalty)`` + ``backward`` + ``step``."""
+    """One epoch through the graph: ``forward`` + ``total_loss(task, weighted_penalty)`` + ``backward`` + ``step``."""
     opt = optimizer_for(cfg, model.parameters())
     weights = penalty_weights(spec, model, indexings, layers)
     n = dataset.train_x.shape[0]
@@ -294,7 +322,7 @@ def _library_epoch(cfg, model, dataset, spec, indexings, layers, shuffle_seed):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_training_step_matches_library_path_bytes(arch):
-    """Three steps of ``harness._epochs`` against the node API, per task, scheme, output penalty and optimizer."""
+    """Three steps of ``harness._epochs`` against the graph, per task, scheme, output penalty and optimizer."""
     seed = zlib.crc32(arch.encode()) % 1000
     if not (arch.startswith("mlp:") or re.search(r"dense\d+$", arch)):
         arch += "-dense2"  # a loss needs [N, C] outputs

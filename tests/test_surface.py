@@ -1,4 +1,4 @@
-"""Names that the README and the benchmark's timing hooks rely on still exist."""
+"""Names that the README and the benchmark's timing hooks rely on still exist, and graph nodes are built in one module."""
 
 import ast
 import importlib
@@ -21,6 +21,17 @@ def test_readme_imports_resolve():
                     assert hasattr(module, alias.name), f"README imports {node.module}.{alias.name}"
                     checked += 1
     assert checked > 0
+
+
+def test_only_tensor_module_builds_graph_nodes():
+    package = ROOT / "src" / "torqueprune"
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "_from_op" not in names, f"{path.name} builds graph nodes; only tensor.py may"
 
 
 def _tracing():
