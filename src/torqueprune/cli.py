@@ -18,6 +18,7 @@ from .config import ConfigError, load_config, with_overrides
 from .harness import (
     NumericalAbort,
     _fmt,
+    check_out_dir,
     evaluate_dataset,
     make_plan,
     run_pipeline,
@@ -75,16 +76,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> "TrainConfig":
     cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.log_norms_every is not None:
-        overrides["log_norms_every"] = args.log_norms_every
+    overrides = {k: v for k, v in vars(args).items() if k in ("seed", "out_dir", "log_norms_every") and v is not None}
     cfg = with_overrides(cfg, **overrides) if overrides else cfg
-    if args.command != "macs" and os.path.exists(cfg.out_dir) and not os.path.isdir(cfg.out_dir):
-        raise ConfigError(f"out_dir {cfg.out_dir!r} exists and is not a directory")
+    if args.command != "macs":
+        check_out_dir(cfg.out_dir)
     return cfg
 
 

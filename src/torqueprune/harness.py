@@ -110,6 +110,16 @@ def penalty_value(spec: RegularizerSpec, model: ModelGraph, indexings, layers=No
     return model_penalty(spec, model, indexings, layers).item()
 
 
+def check_out_dir(path: str) -> None:
+    """A ``ConfigError`` unless ``path`` is a directory or one can be made there; checked before any work."""
+    ancestor = path
+    while ancestor and not os.path.exists(ancestor):  # the nearest existing ancestor must be a directory
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        why = "exists and is not" if ancestor == path else f"cannot be made: {ancestor!r} is not"
+        raise ConfigError(f"out_dir {path!r} {why} a directory")
+
+
 def _batch_input(x: np.ndarray, input_shape) -> np.ndarray:
     return x.reshape(x.shape[0], *input_shape) if len(input_shape) > 1 else x
 
@@ -156,10 +166,10 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     Each step runs the plain passes of the library's training graph
     (``forward``, the task loss, ``penalty_fwd`` over distance weights
     computed once per run, ``total_loss_fwd``) and logs the task's and the
-    penalty's values.  Their backward passes add the penalty's gradients,
-    then the task's, into each parameter's ``.grad`` (the optimizer's view)
-    with the bits ``backward`` gives through that graph; no node is built.
-    The step looks its functions up in this module, so hooks see every step.
+    penalty's values.  ``penalty_bwd``, then ``layers_bwd``, add their
+    gradients into each ``.grad`` (the optimizer's view) with the bits
+    ``backward`` gives through that graph; no node is built.  The step looks
+    its functions up in this module, so hooks see every step.
     """
     opt = optimizer_for(cfg, model.parameters())
     n = dataset.train_x.shape[0]
@@ -168,10 +178,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
     # the labels are checked once per run, not on every step
     ys = class_labels(dataset.train_y, (n, model.layers[-1].group_count)) if classification else dataset.train_y
     beta = loss_beta(spec)
-    pairs = [(model.layers[idx], w) for idx, w in penalty_weights(spec, model, indexings, reg_layers)]
-    # the parameters in the order each backward pass yields their gradients
-    pen_params = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
-    task_params = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
+    weights = penalty_weights(spec, model, indexings, reg_layers)
     step = 0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
@@ -186,7 +193,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             y = ys[idx]
             out, saved = forward(model, x)
             task, *task_saved = softmax_cross_entropy_fwd(out, y) if classification else mse_loss_fwd(out, y)
-            pen, pen_saved = penalty_fwd(pairs)
+            pen, pen_saved = penalty_fwd(model, weights)
             hits, abs_err, sq_err = _score(out, y, classification)
             correct += hits
             abs_sum += abs_err
@@ -198,11 +205,8 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             task_sum += task * len(idx)
             pen_sum += pen * len(idx)
             if beta:
-                for p, grad in zip(pen_params, penalty_bwd(pen_saved, beta)):
-                    p.grad += grad
-            g = softmax_cross_entropy_bwd(1.0, *task_saved) if classification else mse_loss_bwd(1.0, *task_saved)
-            for p, grad in zip(task_params, layers_bwd(saved, g)):
-                p.grad += grad
+                penalty_bwd(pen_saved, beta)
+            layers_bwd(saved, softmax_cross_entropy_bwd(1.0, *task_saved) if classification else mse_loss_bwd(1.0, *task_saved))
             opt.step()
             step += 1
         task_mean = task_sum / n
@@ -218,8 +222,7 @@ def _epochs(cfg, model, dataset, epochs, shuffle_seed, sched, spec, indexings, r
             train_mse=None if classification else sq_sum / (n * dataset.train_y.shape[1]),
             current_lr=lr,
         )
-    for p in opt.params:  # a trained model keeps no gradient buffer
-        p.grad = None
+    model.zero_grad()  # a trained model keeps no gradient buffer
 
 
 def train(cfg: TrainConfig, dataset: Dataset | None = None) -> TrainResult:
@@ -373,8 +376,7 @@ def make_plan(cfg: TrainConfig, model: ModelGraph):
 def finetune(cfg: TrainConfig, model: ModelGraph, dataset: Dataset) -> ModelGraph:
     """Brief post-pruning training of the small model, no regularizer."""
     _check_dims(model, dataset)
-    loop = _epochs(cfg, model, dataset, cfg.finetune_epochs, [cfg.seed, 13], LrSchedule(), RegularizerSpec(), [], [])
-    for _ in loop:
+    for _ in _epochs(cfg, model, dataset, cfg.finetune_epochs, [cfg.seed, 13], LrSchedule(), RegularizerSpec(), [], []):
         pass
     return model
 
@@ -464,8 +466,8 @@ def sweep(cfg: TrainConfig, betas, write: bool = True) -> list:
         if first is not sub:
             betas = f"{first.reg_coefficient!r} and {sub.reg_coefficient!r}"
             raise ConfigError(f"sweep coefficients {betas} would both write to {sub.out_dir!r}")
-        if write and os.path.exists(sub.out_dir) and not os.path.isdir(sub.out_dir):
-            raise ConfigError(f"out_dir {sub.out_dir!r} exists and is not a directory")
+        if write:
+            check_out_dir(sub.out_dir)
     dataset = dataset_for(cfg)
     base = train(_base_config(cfg), dataset)
     rows = []

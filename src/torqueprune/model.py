@@ -219,8 +219,8 @@ class ModelGraph:
                 raise ConstructionError(f"layer {i} has unknown activation {layer.activation!r}")
             if type(layer.pool) is not bool:
                 raise ConstructionError(f"layer {i} pool must be true or false, got {layer.pool!r:.60}")
-            if layer.pool and layer.kind != "conv2d":
-                raise ConstructionError(f"layer {i} ({layer.kind}) cannot pool; only conv layers do")
+            if layer.kind == "dense" and (layer.pool, layer.stride, layer.padding) != (False, 1, 0):
+                raise ConstructionError(f"layer {i} (dense) cannot pool, stride or pad; only conv layers do")
             if layer.bias is not None and layer.bias.shape != (layer.group_count,):
                 raise ConstructionError(f"layer {i} bias {layer.bias.shape} does not match {layer.group_count} groups")
         layer_output_shapes(self)  # raises on any incompatibility
@@ -411,11 +411,11 @@ def layers_fwd(model: ModelGraph, x: np.ndarray) -> tuple[np.ndarray, list]:
     return x, saved
 
 
-def layers_bwd(saved: list, g: np.ndarray):
+def layers_bwd(saved: list, g: np.ndarray) -> None:
     """Run a ``layers_fwd`` pass's backward kernels, last layer first, for output gradient ``g``.
 
-    Yields each layer's weight and bias gradients as soon as it has them;
-    every layer but the first passes its input's gradient on.
+    Each layer adds its weight and bias gradients into their ``.grad`` with
+    ``Tensor.add_grad``; every layer but the first passes its input's gradient on.
     """
     for i, (layer, unflat, x, out) in reversed(list(enumerate(saved))):
         g = avg_pool2x2_bwd(g) if layer.pool else g
@@ -427,9 +427,9 @@ def layers_bwd(saved: list, g: np.ndarray):
             g, gw, gb = linear_bwd(g, x, layer.weight.data, i > 0)
             if g is not None and unflat is not None:
                 g = reshape_bwd(g, unflat)
-        yield gw
+        layer.weight.add_grad(gw)
         if layer.bias is not None:
-            yield gb
+            layer.bias.add_grad(gb)
 
 
 def forward(model: ModelGraph, batch: Tensor) -> Tensor:

@@ -26,7 +26,7 @@ class Optimizer:
 
     Each parameter's ``.data`` becomes a view of the parameter vector and its
     ``.grad`` (copied in, or zeros for ``None``) a view of the gradient
-    vector, which ``backward`` adds into.  ``step`` updates the parameters and
+    vector, which ``add_grad`` adds into.  ``step`` updates the parameters and
     zeroes the gradient vector; a replaced ``.grad`` (``zero_grad``) would be
     ignored, so ``step`` reports it as a contract error.
     """

@@ -118,27 +118,28 @@ def _weights_for_layer(spec: RegularizerSpec, layer: GroupedLayer, indexing: Gro
     return _scheme_weights(spec, indexing.distances.astype(np.float64), layer.group_count)
 
 
-def penalty_fwd(pairs: list[tuple[GroupedLayer, np.ndarray]]) -> tuple[float, list]:
-    """(sum of ``vdot(group norms, weights)`` over (layer, weights) pairs, saved for ``penalty_bwd``); 0 when empty.
+def penalty_fwd(model: ModelGraph, weights: list[tuple[int, np.ndarray]]) -> tuple[float, list]:
+    """(sum of ``vdot(group norms, w)`` over ``penalty_weights``' list, saved for ``penalty_bwd``); 0 when empty.
 
     Terms add in order: value and gradients have the bits of the ``weighted_penalty`` graph.
     """
     value, saved = None, []
-    for layer, w in pairs:
+    for idx, w in weights:
+        layer = model.layers[idx]
         bias = None if layer.bias is None else layer.bias.data
         norms, inv = group_norms_fwd(layer.weight.data, bias)
         value = np.vdot(norms, w) if value is None else value + np.vdot(norms, w)
-        saved.append((layer.weight.data, bias, w, inv))
+        saved.append((layer, bias, w, inv))
     return (0.0 if value is None else value), saved
 
 
-def penalty_bwd(saved: list, g: float):
-    """Yield each pair's weight gradient, then its bias gradient (if any), for penalty gradient ``g``."""
-    for weight, bias, w, inv in saved:
-        gw, gb = group_norms_bwd(float(g) * w, inv, weight, bias)
-        yield gw
+def penalty_bwd(saved: list, g: float) -> None:
+    """Add each penalized layer's weight and bias gradients, for penalty gradient ``g``, into their ``.grad``."""
+    for layer, bias, w, inv in saved:
+        gw, gb = group_norms_bwd(float(g) * w, inv, layer.weight.data, bias)
+        layer.weight.add_grad(gw)
         if bias is not None:
-            yield gb
+            layer.bias.add_grad(gb)
 
 
 def penalty(spec: RegularizerSpec, layer: GroupedLayer, indexing: GroupIndexing) -> Tensor:

@@ -59,12 +59,13 @@ class ContractError(ValueError):
 class Tensor:
     """N-d float64 array with an optional gradient buffer.
 
-    ``grad`` stays ``None`` until ``backward`` or an ``Optimizer`` binds it;
-    backward passes accumulate into it until ``zero_grad``.  Tensors created
-    by operations remember their inputs (``_parents``), the local backward
-    rule (``_bwd``) and their depth in the graph (``_rank``: 1 + the highest
-    parent rank); leaf tensors have no parents or rule and rank 0.  A rule
-    returns one gradient (or None) per parent, in parent order.
+    ``grad`` stays ``None`` until a first ``add_grad`` or an ``Optimizer``
+    binds it; ``backward``, ``layers_bwd`` and ``penalty_bwd`` add into it
+    through ``add_grad`` until ``zero_grad``.  Tensors created by operations
+    remember their inputs (``_parents``), the local backward rule (``_bwd``)
+    and their depth in the graph (``_rank``: 1 + the highest parent rank);
+    leaf tensors have no parents or rule and rank 0.  A rule returns one
+    gradient (or None) per parent, in parent order.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd", "_op", "_rank")
@@ -95,8 +96,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accum(self, g: np.ndarray) -> None:
-        """Add ``g`` to ``grad`` in place; a first gradient is bound to ``grad`` as a new array."""
+    def add_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``grad`` in place, so an optimizer's view stays bound; a first gradient is bound as a new array."""
         if self.grad is None:
             # the bits of zeros + g (-0.0 becomes +0.0) without a zeros buffer
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
@@ -522,7 +523,7 @@ def backward(loss: Tensor) -> None:
     seed = np.ones_like(loss.data)
     if loss._bwd is None:
         if loss.requires_grad:
-            loss._accum(seed)
+            loss.add_grad(seed)
         return
 
     nodes = [loss]
@@ -544,7 +545,7 @@ def backward(loss: Tensor) -> None:
                 continue
             if parent._bwd is None:
                 if parent.requires_grad:
-                    parent._accum(pg)
+                    parent.add_grad(pg)
             else:
                 key = id(parent)
                 if key in local:

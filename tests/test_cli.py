@@ -6,6 +6,7 @@ import pytest
 
 from torqueprune import cli
 from torqueprune.cli import build_parser, main
+from torqueprune.config import ConfigError, load_config, with_overrides
 from torqueprune.harness import load_checkpoint, save_checkpoint
 from torqueprune.model import build_model
 from torqueprune.pruner import PrunePlan, apply_plan
@@ -478,6 +479,8 @@ MALFORMED = {
     "unknown_activation": lambda record: record["layers"][0].update(activation="tanh"),
     "unknown_kind": _unknown_kind,
     "dense_pool": lambda record: record["layers"][0].update(pool=True),
+    "dense_stride": lambda record: record["layers"][0].update(stride=10**30),
+    "dense_padding": lambda record: record["layers"][0].update(padding=1),
     "top_level_list": lambda record: "[]",
     "top_level_string": lambda record: '"x"',
     "float_input_shape": _cnn_input_shape([1, 6.5, 6]),
@@ -530,8 +533,23 @@ def test_out_dir_that_is_a_file_exit_1_before_any_work(toy_cfg, tmp_path, capsys
 
 @pytest.mark.parametrize("command", WRITING_COMMANDS, ids=lambda c: c[0])
 def test_out_dir_that_cannot_be_made_exit_1(toy_cfg, tmp_path, capsys, monkeypatch, command):
+    from torqueprune import harness
+
     save_checkpoint(tmp_path / "ckpt.json", build_model("mlp:2-16-2", seed=0))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_text("keep\n")
+    for name in ("build_model", "load_checkpoint"):  # a file among the parents is found before any work too
+        monkeypatch.setattr(harness, name, lambda *a, **k: pytest.fail("work started before out_dir was checked"))
     assert main([command[0], toy_cfg, *command[1:], "--out-dir", os.path.join("afile", "sub")]) == 1
-    assert capsys.readouterr().err == "error: cannot write: [Errno 20] Not a directory: 'afile/sub'\n"
+    assert capsys.readouterr().err == "error: out_dir 'afile/sub' cannot be made: 'afile' is not a directory\n"
+
+
+def test_library_sweep_out_dir_under_a_file_is_a_config_error_before_training(toy_cfg, tmp_path, monkeypatch):
+    from torqueprune import harness
+
+    monkeypatch.setattr(harness, "train", lambda *a, **k: pytest.fail("trained before out_dir was checked"))
+    (tmp_path / "afile").write_text("keep\n")
+    cfg = with_overrides(load_config(toy_cfg), out_dir=str(tmp_path / "afile" / "sub" / "deeper"))
+    with pytest.raises(ConfigError, match=r"cannot be made: '.*afile' is not a directory"):
+        harness.sweep(cfg, [1e-4, 1e-3])
+    assert (tmp_path / "afile").read_text() == "keep\n"

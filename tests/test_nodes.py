@@ -9,6 +9,7 @@ graph's values, and the parameter gradients of ``backward``, bit for bit.
 """
 
 import dataclasses
+import inspect
 import re
 import zlib
 
@@ -19,7 +20,7 @@ from torqueprune import harness
 from torqueprune.config import TrainConfig, optimizer_for, parse_config
 from torqueprune.datasets import Dataset
 from torqueprune.model import ConstructionError, build_model, forward, layers_bwd, layers_fwd, model_indexings
-from torqueprune.optim import LrSchedule
+from torqueprune.optim import LrSchedule, Optimizer
 from torqueprune.regularizers import (
     SCHEMES,
     RegularizerSpec,
@@ -71,22 +72,18 @@ def _draw_arch(rng) -> str:
 ARCHS = [_draw_arch(np.random.default_rng([5, i])) for i in range(24)]
 
 
-def _plain_grads(model, saved, g, pairs=(), pen_saved=(), beta=0.0):
+def _plain_grads(model, saved, g, pen_saved=(), beta=0.0):
     """Each trainable parameter's gradient bytes as the training step builds them.
 
-    Into zeros: the penalty's gradients for gradient ``beta`` (when ``beta``
-    is set) from ``penalty_bwd`` over the (layer, weights) ``pairs``, then
-    the task's from ``layers_bwd`` for output gradient ``g``.
+    From cleared gradients: ``penalty_bwd`` adds the penalty's gradients for
+    gradient ``beta`` (when ``beta`` is set), then ``layers_bwd`` adds the
+    task's for output gradient ``g``.
     """
-    grads = {id(p): np.zeros_like(p.data) for p in model.parameters()}
+    model.zero_grad()
     if beta:
-        pen_params = [p for layer, _ in pairs for p in (layer.weight, layer.bias) if p is not None]
-        for p, grad in zip(pen_params, penalty_bwd(pen_saved, beta)):
-            grads[id(p)] += grad
-    task_params = [p for layer in reversed(model.layers) for p in (layer.weight, layer.bias) if p is not None]
-    for p, grad in zip(task_params, layers_bwd(saved, g)):
-        grads[id(p)] += grad
-    return [grads[id(p)].tobytes() for p in model.parameters() if p.requires_grad]
+        penalty_bwd(pen_saved, beta)
+    layers_bwd(saved, g)
+    return [p.grad.tobytes() for p in model.parameters() if p.requires_grad]
 
 
 def _graph_grads(model):
@@ -178,8 +175,7 @@ def test_objective_matches_loss_composition_bytes(task, scheme, beta, penalize_o
     else:
         plain_task, *task_saved = mse_loss_fwd(out, y)
         g = mse_loss_bwd(1.0, *task_saved)
-    pairs = [(model.layers[idx], w) for idx, w in weights]
-    plain_pen, pen_saved = penalty_fwd(pairs)
+    plain_pen, pen_saved = penalty_fwd(model, weights)
     value = total_loss_fwd(plain_task, plain_pen, loss_beta(spec))
 
     assert loss.data.tobytes() == np.float64(value).tobytes()
@@ -188,7 +184,23 @@ def test_objective_matches_loss_composition_bytes(task, scheme, beta, penalize_o
     if scheme != "none":
         assert plain_pen > 0.0  # computed and reported even when beta is 0
     backward(loss)
-    assert _graph_grads(model) == _plain_grads(model, saved, g, pairs, pen_saved, loss_beta(spec))
+    assert _graph_grads(model) == _plain_grads(model, saved, g, pen_saved, loss_beta(spec))
+
+
+def test_backward_passes_add_into_the_optimizer_views():
+    """Plain functions, not generators: each adds its gradients into every parameter's bound ``.grad``."""
+    assert not inspect.isgeneratorfunction(layers_bwd) and not inspect.isgeneratorfunction(penalty_bwd)
+    model, x, y, spec, weights = _case("regression", "exponential_etp", 2e-2, True)
+    opt = Optimizer(model.parameters())
+    out, saved = layers_fwd(model, x)
+    _, diff = mse_loss_fwd(out, y)
+    _, pen_saved = penalty_fwd(model, weights)
+    assert penalty_bwd(pen_saved, 1.0) is None
+    pen_grads = [view.copy() for view in opt.grads]
+    assert layers_bwd(saved, mse_loss_bwd(1.0, diff)) is None
+    for p, view, pen_grad in zip(model.parameters(), opt.grads, pen_grads, strict=True):
+        assert p.grad is view
+        assert np.any(pen_grad != 0.0) and np.any(view != pen_grad)
 
 
 def _fd_check(build_loss, params):

@@ -424,9 +424,9 @@ def test_backward_deterministic_after_reset():
 def test_backward_leaf_grad_is_a_fresh_array_without_negative_zeros():
     x = t([-1.0, 2.0], rg=True)
     g = np.array([-0.0, 3.0])
-    x._accum(g)
+    x.add_grad(g)
     assert not np.signbit(x.grad).any() and x.grad[1] == 3.0  # zeros + g, as before
-    x._accum(g)
+    x.add_grad(g)
     assert np.array_equal(g, [-0.0, 3.0]) and np.array_equal(x.grad, [0.0, 6.0])
 
 
